@@ -160,7 +160,7 @@ fn split_equi_join(
     left_vars: &[String],
     right_vars: &[String],
 ) -> Option<(ScalarExpr, ScalarExpr, Option<ScalarExpr>)> {
-    let conjuncts = flatten_conjunction(pred);
+    let conjuncts = pred.conjuncts();
     for (i, conjunct) in conjuncts.iter().enumerate() {
         if let ScalarExpr::Binary {
             op: ScalarOp::Eq,
@@ -181,37 +181,17 @@ fn split_equi_join(
             } else {
                 continue;
             };
-            let rest: Vec<ScalarExpr> = conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, c)| (*c).clone())
-                .collect();
-            let residual = rest.into_iter().reduce(|a, b| ScalarExpr::Binary {
-                op: ScalarOp::And,
-                left: Box::new(a),
-                right: Box::new(b),
-            });
+            let residual = ScalarExpr::conjunction(
+                conjuncts
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, c)| (*c).clone()),
+            );
             return Some((lk, rk, residual));
         }
     }
     None
-}
-
-/// Flattens nested `and` into a list of conjuncts.
-fn flatten_conjunction(pred: &ScalarExpr) -> Vec<&ScalarExpr> {
-    match pred {
-        ScalarExpr::Binary {
-            op: ScalarOp::And,
-            left,
-            right,
-        } => {
-            let mut out = flatten_conjunction(left);
-            out.extend(flatten_conjunction(right));
-            out
-        }
-        other => vec![other],
-    }
 }
 
 #[cfg(test)]

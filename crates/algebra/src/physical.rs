@@ -405,8 +405,11 @@ impl std::fmt::Display for PhysicalExpr {
                 right,
                 left_key,
                 right_key,
-                ..
-            } => write!(f, "hashjoin({left}, {right}, {left_key}={right_key})"),
+                residual,
+            } => match residual {
+                Some(r) => write!(f, "hashjoin({left}, {right}, {left_key}={right_key}, {r})"),
+                None => write!(f, "hashjoin({left}, {right}, {left_key}={right_key})"),
+            },
             PhysicalExpr::MergeTuplesJoin { left, right, on } => {
                 let cond: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
                 write!(f, "mergejoin({left}, {right}, {})", cond.join(","))
@@ -463,6 +466,38 @@ mod tests {
             paper_physical().to_string(),
             "mkunion(exec(field(r0), project(name, get(person0))), mkproj(name, exec(field(r1), get(person1))))"
         );
+    }
+
+    #[test]
+    fn hash_join_display_shows_the_residual() {
+        let scan = |repo: &str, var: &str| PhysicalExpr::BindOp {
+            var: var.into(),
+            input: Box::new(PhysicalExpr::Exec {
+                repository: repo.into(),
+                wrapper: "w0".into(),
+                extent: "person".into(),
+                logical: LogicalExpr::get("person"),
+            }),
+        };
+        let join = |residual| PhysicalExpr::HashJoin {
+            left: Box::new(scan("r0", "x")),
+            right: Box::new(scan("r1", "y")),
+            left_key: ScalarExpr::var_field("x", "id"),
+            right_key: ScalarExpr::var_field("y", "id"),
+            residual,
+        };
+        assert_eq!(
+            join(None).to_string(),
+            "hashjoin(mkbind(x, exec(field(r0), get(person))), mkbind(y, exec(field(r1), get(person))), x.id=y.id)"
+        );
+        let residual = ScalarExpr::binary(
+            ScalarOp::Lt,
+            ScalarExpr::var_field("x", "salary"),
+            ScalarExpr::var_field("y", "salary"),
+        );
+        assert!(join(Some(residual))
+            .to_string()
+            .ends_with(", x.id=y.id, (x.salary < y.salary))"));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! them into alternative plans and costs each alternative.
 
 use crate::capability::CapabilitySet;
+use crate::implementation::{bound_vars, referenced_vars};
 use crate::logical::LogicalExpr;
 use crate::scalar::ScalarExpr;
 
@@ -358,6 +359,92 @@ pub fn simplify_union(expr: &LogicalExpr) -> Option<LogicalExpr> {
     })
 }
 
+/// R11 — split a mediator join's predicate into its conjuncts and move
+/// each conjunct whose variables are all bound by one input onto that
+/// input: `join(l, r, p_l and p_r and p_lr) → join(select(p_l, l),
+/// select(p_r, r), p_lr)`.
+///
+/// A single-variable conjunct moves only when it passes the test a
+/// single-variable query's where clause passes ([`rewrite_env_predicate`]
+/// and [`ScalarExpr::is_pushable`]), so R5 and R7 then carry it down to
+/// each `submit`, where R1 offers it to the wrapper.  A conjunct over
+/// several variables of one input lands on a nested join and R12 folds
+/// it into that join's predicate.  Conjuncts with an aggregate (a
+/// correlated sub-query) or a call, and conjuncts that mention no
+/// variable, stay where they are; so do the cross-side conjuncts, which
+/// the implementation rules turn into hash keys and residuals.
+#[must_use]
+pub fn push_conjuncts_below_join(expr: &LogicalExpr) -> Option<LogicalExpr> {
+    let LogicalExpr::Join {
+        left,
+        right,
+        predicate: Some(predicate),
+    } = expr
+    else {
+        return None;
+    };
+    let left_vars = bound_vars(left);
+    let right_vars = bound_vars(right);
+    let (mut to_left, mut to_right, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+    for conjunct in predicate.conjuncts() {
+        let vars = referenced_vars(conjunct);
+        let movable = !vars.is_empty()
+            && !conjunct.has_agg_or_call()
+            && match vars.as_slice() {
+                [var] => rewrite_env_predicate(conjunct, var).is_some_and(|p| p.is_pushable()),
+                _ => true,
+            };
+        let within = |side: &[String], other: &[String]| {
+            vars.iter().all(|v| side.contains(v) && !other.contains(v))
+        };
+        if movable && within(&left_vars, &right_vars) {
+            to_left.push(conjunct.clone());
+        } else if movable && within(&right_vars, &left_vars) {
+            to_right.push(conjunct.clone());
+        } else {
+            kept.push(conjunct.clone());
+        }
+    }
+    if to_left.is_empty() && to_right.is_empty() {
+        return None;
+    }
+    let filtered = |input: &LogicalExpr, conjuncts: Vec<ScalarExpr>| {
+        ScalarExpr::conjunction(conjuncts)
+            .map_or_else(|| input.clone(), |p| input.clone().filter(p))
+    };
+    Some(LogicalExpr::Join {
+        left: Box::new(filtered(left, to_left)),
+        right: Box::new(filtered(right, to_right)),
+        predicate: ScalarExpr::conjunction(kept),
+    })
+}
+
+/// R12 — R11's companion: fold a filter over a mediator join into the
+/// join's predicate, `select(p, join(l, r, q)) → join(l, r, q and p)`, so
+/// R11 can split it further.  This carries the where clause of a
+/// left-deep 3+-variable query, which the compiler attaches to the
+/// outermost join, down to the inner joins and from there into each
+/// `submit`.
+#[must_use]
+pub fn merge_filter_into_join(expr: &LogicalExpr) -> Option<LogicalExpr> {
+    let LogicalExpr::Filter { input, predicate } = expr else {
+        return None;
+    };
+    let LogicalExpr::Join {
+        left,
+        right,
+        predicate: existing,
+    } = input.as_ref()
+    else {
+        return None;
+    };
+    Some(LogicalExpr::Join {
+        left: left.clone(),
+        right: right.clone(),
+        predicate: ScalarExpr::conjunction(existing.iter().cloned().chain([predicate.clone()])),
+    })
+}
+
 /// Rewrites an environment-form predicate over a single variable into
 /// source form: `Var(var).field → Attr(field)`.  Returns `None` when the
 /// predicate mentions any other variable, a bare `Var`, an aggregate or a
@@ -385,9 +472,10 @@ pub fn rewrite_env_predicate(predicate: &ScalarExpr, var: &str) -> Option<Scalar
 }
 
 /// Applies every *capability-independent* simplification rule bottom-up to
-/// a fixpoint (distribution over unions, filter/bind commutation, union
-/// flattening).  Capability-dependent pushdowns are applied separately by
-/// the optimizer so that it can cost alternatives.
+/// a fixpoint (distribution over unions, filter/bind commutation, join
+/// predicate splitting, union flattening).  Capability-dependent
+/// pushdowns are applied separately by the optimizer so that it can cost
+/// alternatives.
 #[must_use]
 pub fn normalize(expr: &LogicalExpr) -> LogicalExpr {
     let mut current = expr.clone();
@@ -398,6 +486,8 @@ pub fn normalize(expr: &LogicalExpr) -> LogicalExpr {
                 .or_else(|| distribute_project_over_union(e))
                 .or_else(|| push_filter_through_bind(e))
                 .or_else(|| push_filter_below_project(e))
+                .or_else(|| push_conjuncts_below_join(e))
+                .or_else(|| merge_filter_into_join(e))
                 .or_else(|| simplify_union(e))
         });
         if next == current {
@@ -643,6 +733,223 @@ mod tests {
             }
             other => panic!("expected union at top, got {other}"),
         }
+    }
+
+    fn person_union(var: &str) -> LogicalExpr {
+        LogicalExpr::Union(vec![
+            LogicalExpr::get("person0").submit("r0", "w0", "person0"),
+            LogicalExpr::get("person1").submit("r1", "w0", "person1"),
+        ])
+        .bind(var)
+    }
+
+    fn cmp(op: ScalarOp, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr {
+        ScalarExpr::binary(op, left, right)
+    }
+
+    fn and_all(conjuncts: Vec<ScalarExpr>) -> ScalarExpr {
+        ScalarExpr::conjunction(conjuncts).unwrap()
+    }
+
+    fn join(left: LogicalExpr, right: LogicalExpr, predicate: ScalarExpr) -> LogicalExpr {
+        LogicalExpr::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            predicate: Some(predicate),
+        }
+    }
+
+    #[test]
+    fn join_predicate_splits_into_single_side_filters() {
+        let names = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "name"),
+            ScalarExpr::var_field("y", "name"),
+        );
+        let x_salary = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "salary"),
+            ScalarExpr::constant(3i64),
+        );
+        let y_salary = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("y", "salary"),
+            ScalarExpr::constant(7i64),
+        );
+        let expr = join(
+            person_union("x"),
+            person_union("y"),
+            and_all(vec![names.clone(), x_salary.clone(), y_salary.clone()]),
+        );
+        let Some(LogicalExpr::Join {
+            left,
+            right,
+            predicate,
+        }) = push_conjuncts_below_join(&expr)
+        else {
+            panic!("R11 should apply");
+        };
+        assert_eq!(predicate, Some(names));
+        assert_eq!(*left, person_union("x").filter(x_salary));
+        assert_eq!(*right, person_union("y").filter(y_salary));
+        // Only cross-side conjuncts left: nothing more to move.
+        let settled = LogicalExpr::Join {
+            left,
+            right,
+            predicate,
+        };
+        assert!(push_conjuncts_below_join(&settled).is_none());
+        // After normalization each filter sits, in source form, right
+        // above its submit.
+        let text = normalize(&expr).to_string();
+        for pushed in [
+            "select((salary = 3), submit(r0",
+            "select((salary = 3), submit(r1",
+            "select((salary = 7), submit(r0",
+            "select((salary = 7), submit(r1",
+        ] {
+            assert!(text.contains(pushed), "{pushed} missing from {text}");
+        }
+    }
+
+    #[test]
+    fn conjuncts_that_cannot_move_stay_on_the_join() {
+        let cross_or = cmp(
+            ScalarOp::Or,
+            cmp(
+                ScalarOp::Eq,
+                ScalarExpr::var_field("x", "salary"),
+                ScalarExpr::constant(1i64),
+            ),
+            cmp(
+                ScalarOp::Eq,
+                ScalarExpr::var_field("y", "salary"),
+                ScalarExpr::constant(2i64),
+            ),
+        );
+        let constant_only = cmp(
+            ScalarOp::Lt,
+            ScalarExpr::constant(1i64),
+            ScalarExpr::constant(2i64),
+        );
+        let call = ScalarExpr::Call("coalesce".into(), vec![ScalarExpr::var_field("x", "ok")]);
+        let correlated = cmp(
+            ScalarOp::Gt,
+            ScalarExpr::var_field("x", "salary"),
+            ScalarExpr::Agg(
+                crate::scalar::AggKind::Count,
+                Box::new(person_union("z").filter(cmp(
+                    ScalarOp::Eq,
+                    ScalarExpr::var_field("z", "name"),
+                    ScalarExpr::var_field("y", "name"),
+                ))),
+            ),
+        );
+        let whole_var = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::Var("x".into()),
+            ScalarExpr::constant(1i64),
+        );
+        for conjunct in [cross_or, constant_only, call, correlated, whole_var] {
+            let expr = join(person_union("x"), person_union("y"), conjunct.clone());
+            assert!(
+                push_conjuncts_below_join(&expr).is_none(),
+                "{conjunct} must stay on the join"
+            );
+        }
+    }
+
+    #[test]
+    fn three_variable_where_clause_reaches_every_binding() {
+        // Left-deep, where clause on the outermost join.
+        let inner = LogicalExpr::Join {
+            left: Box::new(person_union("x")),
+            right: Box::new(person_union("y")),
+            predicate: None,
+        };
+        let names = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "name"),
+            ScalarExpr::var_field("y", "name"),
+        );
+        let ids = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("y", "id"),
+            ScalarExpr::var_field("z", "id"),
+        );
+        let salary = |var: &str, k: i64| {
+            cmp(
+                ScalarOp::Gt,
+                ScalarExpr::var_field(var, "salary"),
+                ScalarExpr::constant(k),
+            )
+        };
+        let expr = join(
+            inner,
+            person_union("z"),
+            and_all(vec![
+                names.clone(),
+                ids.clone(),
+                salary("x", 1),
+                salary("y", 2),
+                salary("z", 3),
+            ]),
+        );
+        let normalized = normalize(&expr);
+        let LogicalExpr::Join {
+            left, predicate, ..
+        } = &normalized
+        else {
+            panic!("expected a join at the top: {normalized}");
+        };
+        assert_eq!(predicate.as_ref(), Some(&ids));
+        let LogicalExpr::Join {
+            predicate: inner_predicate,
+            ..
+        } = left.as_ref()
+        else {
+            panic!("expected the inner join on the left: {left}");
+        };
+        assert_eq!(inner_predicate.as_ref(), Some(&names));
+        let text = normalized.to_string();
+        for k in 1..=3 {
+            assert_eq!(
+                text.matches(&format!("select((salary > {k}), submit("))
+                    .count(),
+                2,
+                "salary > {k} on both sources of its binding: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn filter_over_join_merges_into_its_predicate() {
+        let pred = cmp(
+            ScalarOp::Eq,
+            ScalarExpr::var_field("x", "name"),
+            ScalarExpr::var_field("y", "name"),
+        );
+        let bare = LogicalExpr::Join {
+            left: Box::new(person_union("x")),
+            right: Box::new(person_union("y")),
+            predicate: None,
+        };
+        let merged = merge_filter_into_join(&bare.clone().filter(pred.clone())).unwrap();
+        assert_eq!(
+            merged,
+            join(person_union("x"), person_union("y"), pred.clone())
+        );
+        let extra = salary_gt_10_env();
+        let twice = merge_filter_into_join(&merged.filter(extra.clone())).unwrap();
+        assert_eq!(
+            twice,
+            join(
+                person_union("x"),
+                person_union("y"),
+                and_all(vec![pred, extra])
+            )
+        );
+        assert!(merge_filter_into_join(&person_union("x").filter(salary_gt_10_env())).is_none());
     }
 
     #[test]

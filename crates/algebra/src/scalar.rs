@@ -281,6 +281,45 @@ impl ScalarExpr {
         out
     }
 
+    /// Returns `true` when the expression contains an aggregate (a
+    /// possibly correlated sub-query) or a function call.
+    #[must_use]
+    pub(crate) fn has_agg_or_call(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            found |= matches!(e, ScalarExpr::Agg(..) | ScalarExpr::Call(..));
+        });
+        found
+    }
+
+    /// The conjuncts of a predicate: nested `and`s flattened left to
+    /// right.
+    #[must_use]
+    pub fn conjuncts(&self) -> Vec<&ScalarExpr> {
+        match self {
+            ScalarExpr::Binary {
+                op: ScalarOp::And,
+                left,
+                right,
+            } => {
+                let mut out = left.conjuncts();
+                out.extend(right.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
+
+    /// The left-deep `and` of `conjuncts`, or `None` when there are none.
+    #[must_use]
+    pub(crate) fn conjunction(
+        conjuncts: impl IntoIterator<Item = ScalarExpr>,
+    ) -> Option<ScalarExpr> {
+        conjuncts
+            .into_iter()
+            .reduce(|a, b| ScalarExpr::binary(ScalarOp::And, a, b))
+    }
+
     fn walk<F: FnMut(&ScalarExpr)>(&self, f: &mut F) {
         f(self);
         match self {

@@ -296,7 +296,8 @@ fn pushed_width(expr: &LogicalExpr) -> Option<usize> {
 // ---------------------------------------------------------------------
 
 /// E4: recorded `exec` calls (exact and close matches, smoothed) give
-/// useful cost estimates; unseen calls fall back to the paper's defaults.
+/// useful cost estimates; unseen calls against a calibrated repository are
+/// costed from its per-call and per-row fit.
 #[must_use]
 pub fn e4_calibration(scale: Scale) -> Report {
     let profile = NetworkProfile {
@@ -390,20 +391,26 @@ pub fn e4_calibration(scale: Scale) -> Report {
             fmt_pct(error),
         ]);
     }
-    // A structurally new call: the paper's defaults (time 0, data 1).
-    let unseen = disco_algebra::LogicalExpr::get("person0").project(["id"]);
+    // A structurally new call against the now-calibrated repository: the
+    // store has no match, so the cost model estimates it from the
+    // repository's per-call and per-row fit instead of the defaults.
+    let unseen = LogicalExpr::get("person0").project(["id"]);
     let estimate = mediator.calibration().estimate("r0", &unseen);
+    let model = disco_optimizer::CostModel::new(std::sync::Arc::clone(mediator.calibration()))
+        .with_params(mediator.cost_params());
+    let unseen_cost = model.cost(&lower(&unseen.submit("r0", "w0", "person0")).expect("lowers"));
     report.push_row([
         "unseen".to_owned(),
         format!("{:?}", estimate.source),
-        fmt_f64(estimate.time_ms),
+        fmt_f64(unseen_cost.time_ms),
         "-".to_owned(),
         "-".to_owned(),
     ]);
     report.push_note(
         "the first execution uses the default (time 0, data 1); after one observation the exact \
          match tracks the measured latency within the jitter; structurally similar calls with \
-         different constants reuse the close match; unseen shapes fall back to the defaults",
+         different constants reuse the close match; an unseen shape in a calibrated repository \
+         is costed from the repository's per-call and per-row fit, never as free",
     );
     report
 }

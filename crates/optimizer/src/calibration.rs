@@ -13,9 +13,14 @@
 //!   different constants (found through the plan fingerprint, a
 //!   predicate-based matching in the spirit of the paper's reference to
 //!   predicate-based caching); the smoothed observations are used,
-//! * **default** — no information: "a default time cost of 0 and a data
-//!   cost of 1 is used", which biases the optimizer towards pushing the
-//!   maximum amount of computation to the data source.
+//! * **default** — no information about the call shape.  For a
+//!   repository that has never been called, "a default time cost of 0 and
+//!   a data cost of 1 is used", which biases the optimizer towards pushing
+//!   the maximum amount of computation to the data source.  For a
+//!   repository that has answered calls before, the cost model instead
+//!   estimates a new shape from the repository's recent calls (per-call
+//!   time, per-row time and base cardinality), so a call that has never
+//!   run is never costed as free next to one that has.
 
 use std::collections::BTreeMap;
 
@@ -25,6 +30,10 @@ use parking_lot::RwLock;
 /// How many exactly-matching observations are kept per call shape
 /// ("only a fixed number of exactly matching calls are recorded").
 const MAX_OBSERVATIONS: usize = 8;
+
+/// How many recent calls of any shape feed a repository's
+/// [`RepositoryProfile`].
+const MAX_REPOSITORY_CALLS: usize = 32;
 
 /// One recorded `exec` call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,6 +78,27 @@ impl CostEstimate {
     }
 }
 
+/// What a repository's recent calls, of every shape, say about a call
+/// shape it has not answered yet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RepositoryProfile {
+    /// Fixed cost of one call, in milliseconds.
+    pub(crate) per_call_ms: f64,
+    /// Cost of each returned row, in milliseconds.
+    pub(crate) per_row_ms: f64,
+    /// Estimated rows of an unfiltered collection: the largest observed
+    /// answer, scaled back through the selections pushed inside its call.
+    pub(crate) base_rows: f64,
+}
+
+/// One call as seen by its repository's profile.
+#[derive(Debug, Clone, Copy)]
+struct RepositoryCall {
+    obs: Observation,
+    /// Selections pushed inside the call.
+    selections: i32,
+}
+
 /// Per-repository health tracking: the best (lowest) per-row latency
 /// ever observed is the repository's baseline; each call's latency in
 /// excess of that baseline feeds an exponential moving average.  A
@@ -88,6 +118,8 @@ struct StoreInner {
     exact: BTreeMap<(String, String), Vec<Observation>>,
     /// Close-match observations keyed by `(repository, plan fingerprint)`.
     close: BTreeMap<(String, String), Vec<Observation>>,
+    /// Recent calls of every shape, keyed by repository name.
+    calls: BTreeMap<String, Vec<RepositoryCall>>,
     /// Per-repository degradation state, keyed by repository name.
     degraded: BTreeMap<String, Degradation>,
 }
@@ -115,9 +147,64 @@ impl CalibrationStore {
         };
         let exact_key = (repository.to_owned(), expr.to_string());
         let close_key = (repository.to_owned(), expr.fingerprint());
+        let call = RepositoryCall {
+            obs,
+            selections: selections(expr),
+        };
         let mut inner = self.inner.write();
-        push_capped(&mut inner.exact, exact_key, obs);
-        push_capped(&mut inner.close, close_key, obs);
+        push_capped(&mut inner.exact, exact_key, obs, MAX_OBSERVATIONS);
+        push_capped(&mut inner.close, close_key, obs, MAX_OBSERVATIONS);
+        push_capped(
+            &mut inner.calls,
+            repository.to_owned(),
+            call,
+            MAX_REPOSITORY_CALLS,
+        );
+    }
+
+    /// The profile of `repository` from its recent calls, or `None` when
+    /// it has answered none.  `filter_selectivity` is the cost model's
+    /// selectivity per selection, used to scale filtered answers back to
+    /// the collection size.
+    ///
+    /// Time is fitted as `per_call + per_row × rows` by least squares,
+    /// with both coefficients non-negative.  When the rows do not vary
+    /// enough to separate the two, or the fit is not sensible, all time is
+    /// charged per row (the ratio of total time to total rows), which keeps
+    /// estimates strictly increasing in rows.
+    #[must_use]
+    pub(crate) fn repository_profile(
+        &self,
+        repository: &str,
+        filter_selectivity: f64,
+    ) -> Option<RepositoryProfile> {
+        let inner = self.inner.read();
+        let calls = inner.calls.get(repository).filter(|c| !c.is_empty())?;
+        #[allow(clippy::cast_precision_loss)]
+        let n = calls.len() as f64;
+        let mean_rows = calls.iter().map(|c| c.obs.rows).sum::<f64>() / n;
+        let mean_time = calls.iter().map(|c| c.obs.time_ms).sum::<f64>() / n;
+        let (mut var, mut cov) = (0.0, 0.0);
+        for c in calls {
+            var += (c.obs.rows - mean_rows).powi(2);
+            cov += (c.obs.rows - mean_rows) * (c.obs.time_ms - mean_time);
+        }
+        let slope = if var > 0.0 { cov / var } else { 0.0 };
+        let intercept = mean_time - slope * mean_rows;
+        let (per_call_ms, per_row_ms) = if slope > 0.0 && intercept >= 0.0 {
+            (intercept, slope)
+        } else {
+            (0.0, mean_time / mean_rows.max(1.0))
+        };
+        let base_rows = calls
+            .iter()
+            .map(|c| c.obs.rows / filter_selectivity.powi(c.selections))
+            .fold(1.0, f64::max);
+        Some(RepositoryProfile {
+            per_call_ms,
+            per_row_ms,
+            base_rows,
+        })
     }
 
     /// Feeds one observed source call into the repository's degradation
@@ -225,23 +312,26 @@ impl CalibrationStore {
         let mut inner = self.inner.write();
         inner.exact.clear();
         inner.close.clear();
+        inner.calls.clear();
         inner.degraded.clear();
     }
 }
 
-/// Appends an observation, keeping only the most recent
-/// [`MAX_OBSERVATIONS`] entries per key.
-fn push_capped(
-    map: &mut BTreeMap<(String, String), Vec<Observation>>,
-    key: (String, String),
-    obs: Observation,
-) {
+/// Appends an entry, keeping only the most recent `cap` entries per key.
+fn push_capped<K: Ord, T>(map: &mut BTreeMap<K, Vec<T>>, key: K, item: T, cap: usize) {
     let entry = map.entry(key).or_default();
-    entry.push(obs);
-    if entry.len() > MAX_OBSERVATIONS {
-        let excess = entry.len() - MAX_OBSERVATIONS;
+    entry.push(item);
+    if entry.len() > cap {
+        let excess = entry.len() - cap;
         entry.drain(0..excess);
     }
+}
+
+/// The number of selections in a shipped expression.
+fn selections(expr: &LogicalExpr) -> i32 {
+    let mut count = 0;
+    expr.walk(&mut |e| count += i32::from(matches!(e, LogicalExpr::Filter { .. })));
+    count
 }
 
 /// The smoothing function: an exponentially weighted average favouring the
@@ -262,12 +352,16 @@ mod tests {
     use super::*;
     use disco_algebra::{ScalarExpr, ScalarOp};
 
-    fn filter_plan(threshold: i64) -> LogicalExpr {
-        LogicalExpr::get("person0").filter(ScalarExpr::binary(
+    fn filter_plan_pred(threshold: i64) -> ScalarExpr {
+        ScalarExpr::binary(
             ScalarOp::Gt,
             ScalarExpr::attr("salary"),
             ScalarExpr::constant(threshold),
-        ))
+        )
+    }
+
+    fn filter_plan(threshold: i64) -> LogicalExpr {
+        LogicalExpr::get("person0").filter(filter_plan_pred(threshold))
     }
 
     #[test]
@@ -360,6 +454,35 @@ mod tests {
         let default = store.estimate("r0", &other);
         assert_eq!(default.source, MatchKind::Default);
         assert!((default.time_ms - penalty).abs() < 1e-9);
+    }
+
+    #[test]
+    fn repository_profile_fits_per_call_and_per_row_time() {
+        let store = CalibrationStore::new();
+        assert_eq!(store.repository_profile("r0", 0.5), None);
+        // 2 ms per call plus 0.01 ms per row, over three shapes.
+        store.record("r0", &LogicalExpr::get("person0"), 12.0, 1000);
+        store.record("r0", &filter_plan(10), 4.0, 200);
+        store.record("r0", &filter_plan(10).filter(filter_plan_pred(5)), 2.5, 50);
+        let profile = store.repository_profile("r0", 0.5).unwrap();
+        assert!((profile.per_call_ms - 2.0).abs() < 1e-9, "{profile:?}");
+        assert!((profile.per_row_ms - 0.01).abs() < 1e-9, "{profile:?}");
+        // The largest answer scaled back through its selections: 1000
+        // unfiltered, 200 / 0.5 and 50 / 0.25.
+        assert!((profile.base_rows - 1000.0).abs() < 1e-9, "{profile:?}");
+        // Other repositories stay unobserved.
+        assert_eq!(store.repository_profile("r1", 0.5), None);
+    }
+
+    #[test]
+    fn repository_profile_charges_per_row_when_rows_do_not_vary() {
+        let store = CalibrationStore::new();
+        store.record("r0", &filter_plan(10), 0.6, 1);
+        store.record("r0", &filter_plan(20), 0.8, 1);
+        let profile = store.repository_profile("r0", 0.25).unwrap();
+        assert_eq!(profile.per_call_ms, 0.0);
+        assert!((profile.per_row_ms - 0.7).abs() < 1e-9, "{profile:?}");
+        assert!((profile.base_rows - 4.0).abs() < 1e-9, "{profile:?}");
     }
 
     #[test]

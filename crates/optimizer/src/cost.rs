@@ -4,16 +4,20 @@
 //! the lowest estimated cost is then executed by the run time system."
 //! Costs of `exec` calls come from the self-calibrating
 //! [`CalibrationStore`]; mediator-side algorithms are costed with simple
-//! per-row constants.  With no calibration information the defaults
-//! (time 0, data 1) make source-side work free, so "the optimizer will
-//! choose plans where the maximum amount of computation is done at the
-//! data source" — exactly the paper's intended bias.
+//! per-row constants.  For a repository that has never answered a call
+//! the defaults (time 0, data 1) make source-side work free, so "the
+//! optimizer will choose plans where the maximum amount of computation is
+//! done at the data source" — exactly the paper's intended bias.  Once a
+//! repository has answered calls, a shape it has not answered is
+//! estimated from the repository's recent calls: never free, and with the
+//! same selectivity per predicate whether the predicate runs inside the
+//! `submit` or at the mediator.
 
 use std::sync::Arc;
 
 use disco_algebra::PhysicalExpr;
 
-use crate::calibration::CalibrationStore;
+use crate::calibration::{CalibrationStore, MatchKind};
 
 /// Tunable constants of the mediator-side cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,23 +110,27 @@ impl CostModel {
                 ..
             } => {
                 let est = self.store.estimate(repository, logical);
-                match est.source {
-                    crate::calibration::MatchKind::Default => {
-                        // The paper's defaults: time 0, data 1 per base
-                        // collection.  Selections pushed inside the call
-                        // still reduce the estimated output, so pushing is
-                        // never estimated as worse than mediator-side
-                        // filtering — this realises the paper's "maximum
-                        // computation at the data source" bias.
-                        PlanCost {
-                            time_ms: est.time_ms,
-                            rows: default_exec_rows(logical, p),
-                        }
-                    }
-                    _ => PlanCost {
+                if est.source != MatchKind::Default {
+                    return PlanCost {
                         time_ms: est.time_ms,
                         rows: est.rows,
-                    },
+                    };
+                }
+                // A shape this repository has never answered.  Estimate
+                // it from the repository's other calls; only a repository
+                // with none gets the paper's defaults, which make source
+                // work free and put one row in each base collection.
+                let profile = self
+                    .store
+                    .repository_profile(repository, p.filter_selectivity);
+                let base_rows = profile.map_or(1.0, |pr| pr.base_rows);
+                let rows = self.unobserved_rows(repository, logical, base_rows);
+                let time_ms = profile.map_or(0.0, |pr| pr.per_call_ms + pr.per_row_ms * rows);
+                PlanCost {
+                    // `est.time_ms` carries the repository's degradation
+                    // penalty.
+                    time_ms: est.time_ms + time_ms,
+                    rows,
                 }
             }
             PhysicalExpr::MemScan(bag) => PlanCost {
@@ -195,26 +203,50 @@ impl CostModel {
             }
         }
     }
-}
 
-/// Estimated output cardinality of a pushed expression under the default
-/// (uncalibrated) assumption of one row per base collection.
-fn default_exec_rows(logical: &disco_algebra::LogicalExpr, params: &CostParams) -> f64 {
-    use disco_algebra::LogicalExpr as L;
-    match logical {
-        L::Get { .. } => 1.0,
-        L::Filter { input, .. } => default_exec_rows(input, params) * params.filter_selectivity,
-        L::Project { input, .. } => default_exec_rows(input, params),
-        L::SourceJoin { left, right, .. } => (default_exec_rows(left, params)
-            * default_exec_rows(right, params)
-            * params.join_selectivity)
-            .max(1.0),
-        other => other
-            .children()
-            .iter()
-            .map(|c| default_exec_rows(c, params))
-            .sum::<f64>()
-            .max(1.0),
+    /// Estimated output cardinality of an expression shipped to
+    /// `repository`: its observed rows when the repository has answered
+    /// it before, [`CostModel::unobserved_rows`] otherwise.
+    fn exec_rows(&self, repository: &str, logical: &disco_algebra::LogicalExpr, base: f64) -> f64 {
+        let est = self.store.estimate(repository, logical);
+        if est.source == MatchKind::Default {
+            self.unobserved_rows(repository, logical, base)
+        } else {
+            est.rows
+        }
+    }
+
+    /// Estimated output cardinality of an expression `repository` has not
+    /// answered.  A sub-expression it has answered contributes its
+    /// observed rows, a collection never seen contributes `base` rows, and
+    /// every selection on top applies the same `filter_selectivity` a
+    /// mediator-side filter applies, so a predicate gets the same estimate
+    /// inside the `submit` as above it.
+    fn unobserved_rows(
+        &self,
+        repository: &str,
+        logical: &disco_algebra::LogicalExpr,
+        base: f64,
+    ) -> f64 {
+        use disco_algebra::LogicalExpr as L;
+        let p = &self.params;
+        match logical {
+            L::Get { .. } => base,
+            L::Filter { input, .. } => {
+                self.exec_rows(repository, input, base) * p.filter_selectivity
+            }
+            L::Project { input, .. } => self.exec_rows(repository, input, base),
+            L::SourceJoin { left, right, .. } => (self.exec_rows(repository, left, base)
+                * self.exec_rows(repository, right, base)
+                * p.join_selectivity)
+                .max(1.0),
+            other => other
+                .children()
+                .iter()
+                .map(|c| self.exec_rows(repository, c, base))
+                .sum::<f64>()
+                .max(1.0),
+        }
     }
 }
 
@@ -253,6 +285,36 @@ mod tests {
         let pushed_cost = model.cost(&pushed);
         let mediator_cost = model.cost(&mediator);
         assert!(pushed_cost.time_ms <= mediator_cost.time_ms);
+    }
+
+    #[test]
+    fn a_predicate_estimates_the_same_rows_inside_and_above_the_submit() {
+        let store = Arc::new(CalibrationStore::new());
+        let model = CostModel::new(Arc::clone(&store));
+        let pushed = lower(
+            &LogicalExpr::get("person0")
+                .filter(filter_pred())
+                .submit("r0", "w0", "person0"),
+        )
+        .unwrap();
+        let mediator = lower(
+            &LogicalExpr::get("person0")
+                .submit("r0", "w0", "person0")
+                .filter(filter_pred()),
+        )
+        .unwrap();
+        // Unobserved repository, observed `get`, and a repository that has
+        // only answered other shapes.
+        let other = LogicalExpr::get("person9").project(["name"]);
+        for record in [None, Some(LogicalExpr::get("person0")), Some(other)] {
+            store.clear();
+            if let Some(shape) = record {
+                store.record("r0", &shape, 4.0, 2000);
+            }
+            let (p, m) = (model.cost(&pushed), model.cost(&mediator));
+            assert!((p.rows - m.rows).abs() < 1e-9, "{p:?} vs {m:?}");
+            assert!(p.time_ms <= m.time_ms, "{p:?} vs {m:?}");
+        }
     }
 
     #[test]

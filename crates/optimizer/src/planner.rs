@@ -380,6 +380,123 @@ mod tests {
         assert!((plan.cost.time_ms - min).abs() < 1e-9);
     }
 
+    /// Records every `exec` call of `plan` the way the runtime does once
+    /// the call finishes.
+    fn record_execs(store: &CalibrationStore, plan: &Plan, time_ms: f64, rows: usize) {
+        for exec in plan.physical.collect_execs() {
+            if let PhysicalExpr::Exec {
+                repository,
+                logical,
+                ..
+            } = exec
+            {
+                store.record(repository, logical, time_ms, rows);
+            }
+        }
+    }
+
+    /// Asserts that every `exec` call of the chosen plan has been
+    /// observed before (exactly or up to constants).
+    fn assert_only_observed_execs(store: &CalibrationStore, plan: &Plan) {
+        for exec in plan.physical.collect_execs() {
+            if let PhysicalExpr::Exec {
+                repository,
+                logical,
+                ..
+            } = exec
+            {
+                assert_ne!(
+                    store.estimate(repository, logical).source,
+                    crate::MatchKind::Default,
+                    "{} chose a never-run call {exec}: {:#?}",
+                    plan.chosen_strategy(),
+                    plan.alternatives
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn never_run_calls_do_not_win_over_observed_ones() {
+        // The pushed self-join runs once and its calls are recorded with
+        // their real cost, then texts of the same shape are planned again.
+        // The alternatives whose calls never ran (mediator-only ships
+        // `get(person0)`) must not look cheaper than the observed ones.
+        let catalog = catalog_with_two_sources();
+        let store = Arc::new(CalibrationStore::new());
+        let optimizer = Optimizer::with_store(capability_map(), Arc::clone(&store));
+        let self_join = |k1: i64, k2: i64| {
+            format!(
+                "select struct(a: x.id, b: y.id) from x in person0, y in person0 \
+                 where x.name = y.name and x.salary = {k1} and y.salary = {k2}"
+            )
+        };
+        let first = optimizer.optimize_text(&self_join(3, 7), &catalog).unwrap();
+        assert_eq!(first.physical.collect_execs().len(), 2);
+        assert!(
+            first.logical.to_string().contains("select((salary = 3)"),
+            "an empty store pushes the selections: {}",
+            first.logical
+        );
+        record_execs(&store, &first, 11.5, 5);
+        for (k1, k2) in [(3, 7), (1, 2), (9, 9)] {
+            let plan = optimizer
+                .optimize_text(&self_join(k1, k2), &catalog)
+                .unwrap();
+            assert_only_observed_execs(&store, &plan);
+            let mediator_only = plan
+                .alternatives
+                .iter()
+                .find(|a| a.strategy == "mediator-only")
+                .unwrap();
+            assert!(
+                mediator_only.cost.time_ms > 11.5,
+                "shipping whole collections is not free: {:?}",
+                mediator_only.cost
+            );
+        }
+
+        // The scan case: after a 99 % selection ran pushed, a 1 % one
+        // must not switch to an unobserved plan that ships everything.
+        let scan = |k: i64| format!("select x.name from x in person0 where x.salary > {k}");
+        let wide = optimizer.optimize_text(&scan(5), &catalog).unwrap();
+        record_execs(&store, &wide, 5.0, 19_800);
+        for k in [250, 750, 990] {
+            let plan = optimizer.optimize_text(&scan(k), &catalog).unwrap();
+            assert_only_observed_execs(&store, &plan);
+        }
+    }
+
+    #[test]
+    fn repositories_without_observations_keep_the_paper_defaults() {
+        let store = Arc::new(CalibrationStore::new());
+        store.record("r0", &LogicalExpr::get("person0"), 7.0, 1000);
+        let model = CostModel::new(Arc::clone(&store));
+        let fresh = lower(&LogicalExpr::get("person1").submit("r1", "w_min", "person1")).unwrap();
+        assert_eq!(
+            model.cost(&fresh),
+            PlanCost {
+                time_ms: 0.0,
+                rows: 1.0
+            },
+            "time 0, data 1 for a repository that never answered"
+        );
+        // The observed repository estimates a new shape from its calls.
+        let pushed = lower(
+            &LogicalExpr::get("person0")
+                .filter(disco_algebra::ScalarExpr::binary(
+                    disco_algebra::ScalarOp::Gt,
+                    disco_algebra::ScalarExpr::attr("salary"),
+                    disco_algebra::ScalarExpr::constant(10i64),
+                ))
+                .submit("r0", "w_full", "person0"),
+        )
+        .unwrap();
+        let cost = model.cost(&pushed);
+        assert!((cost.rows - 330.0).abs() < 1e-6, "{cost:?}");
+        assert!(cost.time_ms > 0.0, "{cost:?}");
+    }
+
     #[test]
     fn chosen_strategy_is_reported() {
         let catalog = catalog_with_two_sources();

@@ -219,3 +219,238 @@ fn document_sources_expose_restricted_selects_only() {
         "range predicates cannot be pushed"
     );
 }
+
+// ---------------------------------------------------------------------
+// Multi-variable queries: the where clause of a join is split into its
+// conjuncts and each single-side conjunct travels to its own sources.
+// ---------------------------------------------------------------------
+
+const SELF_JOIN: &str = "select struct(a: x.id, b: y.id) from x in employee, y in employee \
+                         where x.dept = y.dept and x.salary > 880 and y.salary < 120";
+
+/// Rows of the whole `employee` federation that satisfy `predicate`
+/// (written over `e`), counted through a single-variable query.
+fn matching_rows(m: &Mediator, predicate: &str) -> usize {
+    m.query(&format!("select e.id from e in employee where {predicate}"))
+        .unwrap()
+        .data()
+        .len()
+}
+
+/// The physical plan `explain` reports for `query`, as text.
+fn explained(m: &Mediator, query: &str) -> String {
+    m.explain(query).unwrap().physical.to_string()
+}
+
+#[test]
+fn self_join_ships_only_the_rows_matching_each_side() {
+    let full = mediator_with_capabilities(CapabilitySet::full());
+    let minimal = mediator_with_capabilities(CapabilitySet::get_only());
+    let pushed = full.query(SELF_JOIN).unwrap();
+    let shipped_everything = minimal.query(SELF_JOIN).unwrap();
+    assert!(pushed.is_complete() && shipped_everything.is_complete());
+    assert!(
+        !pushed.data().is_empty(),
+        "the test query should match rows"
+    );
+    assert_eq!(pushed.data(), shipped_everything.data());
+    let expected = matching_rows(&full, "e.salary > 880") + matching_rows(&full, "e.salary < 120");
+    assert_eq!(
+        pushed.stats().rows_transferred,
+        expected,
+        "each side ships exactly its matching rows: {}",
+        explained(&full, SELF_JOIN)
+    );
+    assert_eq!(
+        shipped_everything.stats().rows_transferred,
+        2 * ROWS_PER_SOURCE,
+        "get-only wrappers ship both collections, once for both bindings"
+    );
+}
+
+#[test]
+fn conjuncts_spanning_both_sides_stay_at_the_mediator() {
+    let full = mediator_with_capabilities(CapabilitySet::full());
+    let query = "select struct(a: x.id, b: y.id) from x in employee, y in employee \
+                 where x.dept = y.dept and x.salary < y.salary \
+                 and (x.salary > 880 or y.salary < 120)";
+    let plan = full.explain(query).unwrap();
+    let text = plan.physical.to_string();
+    assert!(
+        text.contains(
+            "x.dept=y.dept, ((x.salary < y.salary) and ((x.salary > 880) or (y.salary < 120))))"
+        ),
+        "cross-side conjuncts are the hash join's residual: {text}"
+    );
+    for exec in plan.physical.collect_execs() {
+        assert!(
+            !exec.to_string().contains("select("),
+            "no cross-side conjunct reaches a source: {exec}"
+        );
+    }
+    let minimal = mediator_with_capabilities(CapabilitySet::get_only());
+    assert_eq!(
+        full.query(query).unwrap().data(),
+        minimal.query(query).unwrap().data()
+    );
+}
+
+#[test]
+fn three_variable_query_pushes_into_every_binding() {
+    let full = mediator_with_capabilities(CapabilitySet::full());
+    let query = "select struct(a: x.id, b: y.id, c: z.id) \
+                 from x in employee0, y in employee1, z in employee \
+                 where x.dept = y.dept and y.id = z.id \
+                 and x.salary > 800 and y.salary > 700 and z.salary < 300";
+    let plan = full.explain(query).unwrap();
+    let text = plan.physical.to_string();
+    let execs = plan.physical.collect_execs();
+    assert_eq!(execs.len(), 4, "{text}");
+    for exec in &execs {
+        assert!(
+            exec.to_string().contains("select((salary "),
+            "every binding's sources receive its selection: {exec}"
+        );
+    }
+    assert!(!text.contains("nljoin"), "no cross product: {text}");
+    assert_eq!(
+        text.matches("hashjoin(").count(),
+        2,
+        "the inner pair is hash-joined on x.dept = y.dept: {text}"
+    );
+    assert!(text.contains("x.dept=y.dept"), "{text}");
+    let minimal = mediator_with_capabilities(CapabilitySet::get_only());
+    let answer = full.query(query).unwrap();
+    assert!(
+        !answer.data().is_empty(),
+        "the test query should match rows"
+    );
+    assert_eq!(answer.data(), minimal.query(query).unwrap().data());
+}
+
+#[test]
+fn call_and_correlated_aggregate_conjuncts_are_never_moved() {
+    let full = mediator_with_capabilities(CapabilitySet::full());
+    let minimal = mediator_with_capabilities(CapabilitySet::get_only());
+    for (query, kept) in [
+        (
+            "select struct(a: x.id, b: y.id) from x in employee, y in employee \
+             where x.dept = y.dept and coalesce(x.salary, 0) > 880",
+            "coalesce(",
+        ),
+        (
+            "select struct(a: x.id, b: y.id) from x in employee0, y in employee1 \
+             where x.id = y.id and x.salary > 870 \
+             and x.dept < count(select e.id from e in employee0 where e.salary > 870)",
+            "count(",
+        ),
+    ] {
+        let plan = full.explain(query).unwrap();
+        let text = plan.physical.to_string();
+        let residual_start = text.find("=y.id, ").or_else(|| text.find("=y.dept, "));
+        let residual = &text[residual_start.unwrap_or_else(|| panic!("no residual: {text}"))..];
+        assert!(
+            residual.contains(kept),
+            "{kept} stays in the join's residual: {text}"
+        );
+        for exec in plan.physical.collect_execs() {
+            assert!(!exec.to_string().contains(kept), "{kept} pushed: {exec}");
+        }
+        assert_eq!(
+            text.matches(kept).count(),
+            1,
+            "{kept} is evaluated in one place only: {text}"
+        );
+        assert_eq!(
+            full.query(query).unwrap().data(),
+            minimal.query(query).unwrap().data(),
+            "{query}"
+        );
+    }
+}
+
+#[test]
+fn get_only_wrappers_filter_below_the_join_at_the_mediator() {
+    let minimal = mediator_with_capabilities(CapabilitySet::get_only());
+    let text = explained(&minimal, SELF_JOIN);
+    for (repository, extent) in [("r0", "employee0"), ("r1", "employee1")] {
+        for predicate in ["(salary > 880)", "(salary < 120)"] {
+            let below = format!("mkselect({predicate}, exec(field({repository}), get({extent})))");
+            assert!(text.contains(&below), "expected {below} in {text}");
+        }
+    }
+    assert!(
+        text.contains("x.dept=y.dept)"),
+        "only the equi-join key is left on the join: {text}"
+    );
+}
+
+#[test]
+fn explain_shows_every_where_clause_conjunct() {
+    use disco::algebra::rules::rewrite_env_predicate;
+    use disco::algebra::{referenced_vars, ScalarExpr, ScalarOp};
+
+    fn join_predicate(plan: &LogicalExpr) -> Option<ScalarExpr> {
+        let mut found = None;
+        plan.walk(&mut |e| {
+            if let LogicalExpr::Join {
+                predicate: Some(p), ..
+            } = e
+            {
+                found.get_or_insert_with(|| p.clone());
+            }
+        });
+        found
+    }
+
+    let queries = [
+        SELF_JOIN,
+        "select struct(a: x.id, b: y.id) from x in employee, y in employee \
+         where x.dept = y.dept and x.salary < y.salary and (x.salary > 880 or y.salary < 120)",
+        "select x.id from x in employee0, y in employee1 where x.salary > y.salary and y.dept = 3",
+        "select struct(a: x.id, c: z.id) from x in employee0, y in employee1, z in employee \
+         where x.dept = y.dept and y.id = z.id and x.salary > 800 and 1 = 1 and z.salary < 300",
+    ];
+    let mut mixed = mediator_with_capabilities(CapabilitySet::get_only());
+    mixed
+        .add_relational_source(
+            "employee2",
+            "Employee",
+            "r2",
+            generator::employee_table("employee2", ROWS_PER_SOURCE, 8, 2),
+            NetworkProfile::fast(),
+            CapabilitySet::full(),
+        )
+        .unwrap();
+    let federations = [
+        mediator_with_capabilities(CapabilitySet::full()),
+        mediator_with_capabilities(CapabilitySet::get_only()),
+        mixed,
+    ];
+    for m in &federations {
+        for query in queries {
+            let compiled = disco::optimizer::compile_text(query, m.catalog()).unwrap();
+            let predicate = join_predicate(&compiled).expect("a join query");
+            let text = explained(m, query);
+            for conjunct in predicate.conjuncts() {
+                let mut renderings = vec![conjunct.to_string()];
+                if let [var] = referenced_vars(conjunct).as_slice() {
+                    renderings.extend(rewrite_env_predicate(conjunct, var).map(|p| p.to_string()));
+                }
+                if let ScalarExpr::Binary {
+                    op: ScalarOp::Eq,
+                    left,
+                    right,
+                } = conjunct
+                {
+                    renderings.push(format!("{left}={right}"));
+                    renderings.push(format!("{right}={left}"));
+                }
+                assert!(
+                    renderings.iter().any(|r| text.contains(r.as_str())),
+                    "{conjunct} of `{query}` is missing from explain: {text}"
+                );
+            }
+        }
+    }
+}
