@@ -13,12 +13,16 @@
 //! [`resolve_execs_streamed`] returns immediately: every call becomes a
 //! [`PendingSource`] — a spool the wrapper thread fills with mapped,
 //! type-checked row chunks while the cursor pipeline is already pulling
-//! through [`crate::pipeline`]'s pending scans.  The slowest repository
-//! no longer gates the start of the combine step.  At the execution
-//! deadline, spools that are still streaming flip to unavailable, the
-//! wrapper call is cancelled (so a timed-out call does not keep running
-//! detached in the background), and the executor falls back to the same
-//! partial evaluation the blocking path performs.
+//! through [`crate::pipeline`]'s pending scans and columnar spines.  The
+//! slowest repository no longer gates the start of the combine step.
+//! Each pushed chunk stays whole and shared: a read hands out the chunk
+//! and a row range, never per-row copies taken under the spool's lock.
+//! At the execution deadline, spools that are still streaming flip to
+//! unavailable, the wrapper call is cancelled (so a timed-out call does
+//! not keep running in the background), and the executor falls back to
+//! the same partial evaluation the blocking path performs.  Call threads
+//! are joined once they finish, by a later spawn; none is detached and
+//! none is waited for.
 //!
 //! [`resolve_execs`] — the blocking form — is now a thin driver over the
 //! streamed one: spawn every call, then wait for all spools (bounded by
@@ -29,11 +33,12 @@
 //! data generated are recorded into the calibration store, feeding the
 //! self-calibrating cost model.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use disco_algebra::{LogicalExpr, PhysicalExpr};
@@ -214,11 +219,49 @@ enum SpoolStatus {
     Panicked(String),
 }
 
+/// A run of rows inside one shared spool chunk — what a spool read hands
+/// out.  Cloning it bumps one reference count: rows are never copied out
+/// of the spool under its lock, and the consumer clones (or borrows) only
+/// the values it actually keeps.
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkSlice {
+    chunk: Arc<Vec<Value>>,
+    start: usize,
+    end: usize,
+}
+
+impl ChunkSlice {
+    /// The rows of the run.
+    pub(crate) fn rows(&self) -> &[Value] {
+        &self.chunk[self.start..self.end]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Splits off the first `n` rows (all of them when fewer remain).
+    pub(crate) fn split_front(&mut self, n: usize) -> ChunkSlice {
+        let mid = self.start + n.min(self.len());
+        let front = ChunkSlice {
+            chunk: Arc::clone(&self.chunk),
+            start: self.start,
+            end: mid,
+        };
+        self.start = mid;
+        front
+    }
+}
+
 /// What a consumer observed when asking a spool for progress.
 #[derive(Debug)]
 pub(crate) enum Progress {
     /// New rows past the consumer's read index.
-    Rows(Vec<Value>),
+    Rows(ChunkSlice),
     /// The stream completed and the read index is at the end.
     Done,
     /// The source is unavailable (reported, or deadline-flipped).
@@ -229,6 +272,23 @@ pub(crate) enum Progress {
     Panicked(String),
     /// A spilled spool chunk could not be read back from disk.
     SpillError(String),
+}
+
+impl Progress {
+    /// The rows of this progress report, `None` once the stream completed;
+    /// every terminal failure maps to the error the executor expects
+    /// (`PendingUnavailable` is what makes it fall back to partial
+    /// evaluation).
+    pub(crate) fn into_rows(self, repository: &str) -> Result<Option<ChunkSlice>> {
+        match self {
+            Progress::Rows(rows) => Ok(Some(rows)),
+            Progress::Done => Ok(None),
+            Progress::Unavailable => Err(RuntimeError::PendingUnavailable(repository.to_owned())),
+            Progress::Failed(err) => Err(RuntimeError::Wrapper(err)),
+            Progress::Panicked(msg) => Err(RuntimeError::WorkerPanic(msg)),
+            Progress::SpillError(msg) => Err(RuntimeError::Spill(msg)),
+        }
+    }
 }
 
 /// One chunk of spool rows moved to the disk tier.
@@ -245,7 +305,7 @@ struct DiskChunk {
 
 /// The disk tier of a budget-bounded spool: the oldest rows, chunked into
 /// one delete-on-drop spill file.  Chunks cover `[0, base)` of the stream
-/// contiguously; the hot `rows` vector holds `[base, total)`.
+/// contiguously; the hot chunks hold `[base, total)`.
 struct SpoolSpill {
     _guard: SpillFile,
     file: File,
@@ -281,11 +341,24 @@ impl SpoolSpill {
     }
 }
 
+/// One chunk of the hot window, shared as the wrapper pushed it.
+struct HotChunk {
+    /// Absolute index of the chunk's first row in the full stream.
+    start: usize,
+    rows: Arc<Vec<Value>>,
+    /// Approximate payload bytes (only tracked under a bounded budget).
+    bytes: usize,
+}
+
 struct SpoolState {
-    /// The hot window: rows `[base, base + rows.len())` of the stream.
-    rows: Vec<Value>,
-    /// Absolute index of `rows[0]`; rows below it live in the disk tier.
+    /// The hot window: rows `[base, total)` of the stream, one shared
+    /// chunk per [`SpoolSink::push`].
+    hot: VecDeque<HotChunk>,
+    /// Absolute index of the first hot row; rows below it live in the
+    /// disk tier.
     base: usize,
+    /// Rows of the stream so far (disk tier + hot window).
+    total: usize,
     /// Approximate payload bytes of the hot window.
     hot_bytes: usize,
     spill: Option<SpoolSpill>,
@@ -304,21 +377,52 @@ struct SpoolState {
 impl SpoolState {
     /// Total rows of the stream so far (disk tier + hot window).
     fn total_rows(&self) -> usize {
-        self.base + self.rows.len()
+        self.total
     }
 
-    /// Moves the oldest hot rows to the disk tier until the hot window is
-    /// at half its cap (hysteresis: fewer, larger chunks).  On a write
-    /// failure the tier is marked dead and rows stay in memory.
+    /// Appends one pushed chunk to the hot window.
+    fn push_hot(&mut self, rows: Vec<Value>, bytes: usize) {
+        if rows.is_empty() {
+            return;
+        }
+        let start = self.total;
+        self.total += rows.len();
+        self.hot_bytes += bytes;
+        self.hot.push_back(HotChunk {
+            start,
+            rows: Arc::new(rows),
+            bytes,
+        });
+    }
+
+    /// Serves the run of hot rows starting at absolute index `from`.
+    fn read_hot(&self, from: usize, max: usize) -> ChunkSlice {
+        let idx = self
+            .hot
+            .partition_point(|chunk| chunk.start + chunk.rows.len() <= from);
+        let chunk = &self.hot[idx];
+        let lo = from - chunk.start;
+        ChunkSlice {
+            chunk: Arc::clone(&chunk.rows),
+            start: lo,
+            end: lo.saturating_add(max.max(1)).min(chunk.rows.len()),
+        }
+    }
+
+    /// Moves the oldest hot chunks to the disk tier until the hot window
+    /// is at half its cap (hysteresis: fewer, larger disk chunks).  On a
+    /// write failure the tier is marked dead and rows stay in memory.
     fn spill_front(&mut self, hot_cap: usize) {
         if self.spill_dead {
             return;
         }
         let target = hot_cap / 2;
         let mut k = 0usize;
+        let mut rows = 0usize;
         let mut freed = 0usize;
-        while self.hot_bytes - freed > target && k < self.rows.len() {
-            freed += approx_value_bytes(&self.rows[k]);
+        while self.hot_bytes - freed > target && k < self.hot.len() {
+            freed += self.hot[k].bytes;
+            rows += self.hot[k].rows.len();
             k += 1;
         }
         if k == 0 {
@@ -344,13 +448,16 @@ impl SpoolState {
                 }
             }
         }
-        let encoded = spill::encode_rows(&self.rows[..k]);
+        let mut encoded = Vec::new();
+        for chunk in self.hot.iter().take(k) {
+            encoded.extend(spill::encode_rows(&chunk.rows));
+        }
         let tier = self.spill.as_mut().expect("opened above");
         match spill::append_chunk(&mut tier.file, &encoded) {
             Ok(offset) => {
                 tier.chunks.push(DiskChunk {
                     start_row: self.base,
-                    rows: k,
+                    rows,
                     offset,
                     len: encoded.len(),
                 });
@@ -359,8 +466,8 @@ impl SpoolState {
                 // The chunk may already be below the high-water mark (a
                 // consumer outran the producer); retire it immediately.
                 tier.advance_high_water(tier.high_water);
-                self.rows.drain(..k);
-                self.base += k;
+                self.hot.drain(..k);
+                self.base += rows;
                 self.hot_bytes -= freed;
             }
             Err(err) => {
@@ -393,28 +500,40 @@ impl SpoolState {
         match decoded {
             Ok(rows) => {
                 let lo = from - chunk.start_row;
-                let end = (lo + max.max(1)).min(rows.len());
-                Progress::Rows(rows[lo..end].to_vec())
+                let end = lo.saturating_add(max.max(1)).min(rows.len());
+                Progress::Rows(ChunkSlice {
+                    chunk: Arc::new(rows),
+                    start: lo,
+                    end,
+                })
             }
             Err(err) => Progress::SpillError(format!("reading spool spill chunk: {err}")),
         }
     }
 
     /// Reassembles the full stream (disk tier in order, then the hot
-    /// window) for final materialization.
+    /// window) for final materialization.  Hot chunks no reader still
+    /// holds move out without a copy.
     fn take_all_rows(&mut self) -> std::result::Result<Vec<Value>, String> {
-        let hot = std::mem::take(&mut self.rows);
-        let Some(tier) = self.spill.as_mut() else {
-            return Ok(hot);
+        let mut all: Vec<Value> = Vec::new();
+        let mut append = |rows: Vec<Value>| {
+            if all.is_empty() {
+                all = rows;
+            } else {
+                all.extend(rows);
+            }
         };
-        let mut all = Vec::with_capacity(self.base + hot.len());
-        for chunk in &tier.chunks {
-            let rows = spill::read_chunk(&mut tier.file, chunk.offset, chunk.len)
-                .and_then(|buf| spill::decode_rows(&buf, chunk.rows))
-                .map_err(|e| format!("reading spool spill chunk: {e}"))?;
-            all.extend(rows);
+        if let Some(tier) = self.spill.as_mut() {
+            for chunk in &tier.chunks {
+                let rows = spill::read_chunk(&mut tier.file, chunk.offset, chunk.len)
+                    .and_then(|buf| spill::decode_rows(&buf, chunk.rows))
+                    .map_err(|e| format!("reading spool spill chunk: {e}"))?;
+                append(rows);
+            }
         }
-        all.extend(hot);
+        for chunk in std::mem::take(&mut self.hot) {
+            append(Arc::try_unwrap(chunk.rows).unwrap_or_else(|shared| shared.to_vec()));
+        }
         Ok(all)
     }
 }
@@ -466,7 +585,7 @@ impl std::fmt::Debug for PendingSource {
         f.debug_struct("PendingSource")
             .field("repository", &self.repository)
             .field("extent", &self.extent)
-            .field("rows", &state.rows.len())
+            .field("rows", &state.total)
             .field("status", &state.status)
             .finish()
     }
@@ -487,8 +606,9 @@ impl PendingSource {
             caps: SpoolCaps::from_budget(budget),
             queue_wait_us: AtomicU64::new(0),
             state: StdMutex::new(SpoolState {
-                rows: Vec::new(),
+                hot: VecDeque::new(),
                 base: 0,
+                total: 0,
                 hot_bytes: 0,
                 spill: None,
                 spill_dead: false,
@@ -526,15 +646,12 @@ impl PendingSource {
     /// spool, the call is cancelled, or the deadline passes (which
     /// reports cancellation, matching the unavailable classification the
     /// consumer side is about to apply).
-    fn push_chunk(&self, mut rows: Vec<Value>) -> bool {
+    fn push_chunk(&self, rows: Vec<Value>) -> bool {
         if self.is_cancelled() {
             return false;
         }
         let Some(caps) = &self.caps else {
-            {
-                let mut state = lock(&self.state);
-                state.rows.append(&mut rows);
-            }
+            lock(&self.state).push_hot(rows, 0);
             self.events.notify();
             return !self.is_cancelled();
         };
@@ -558,10 +675,10 @@ impl PendingSource {
                 return false;
             }
         }
+        let bytes = rows.iter().map(approx_value_bytes).sum::<usize>();
         {
             let mut state = lock(&self.state);
-            state.hot_bytes += rows.iter().map(approx_value_bytes).sum::<usize>();
-            state.rows.append(&mut rows);
+            state.push_hot(rows, bytes);
             if state.hot_bytes > caps.hot {
                 state.spill_front(caps.hot);
             }
@@ -705,8 +822,9 @@ impl PendingSource {
     }
 
     /// Blocks until progress past `from` (bounded by the deadline, which
-    /// flips the spool unavailable), returning at most `max` rows and the
-    /// time spent in the call.
+    /// flips the spool unavailable), returning a run of at most `max` rows
+    /// out of one shared chunk (never spanning two) and the time spent in
+    /// the call.  No row is cloned under the lock.
     pub(crate) fn wait_rows(&self, from: usize, max: usize) -> (Progress, Duration) {
         let started = Instant::now();
         let progress = self.wait_until(|state| {
@@ -721,9 +839,7 @@ impl PendingSource {
             }
             if state.total_rows() > from {
                 let progress = if from >= state.base {
-                    let lo = from - state.base;
-                    let end = (lo + max.max(1)).min(state.rows.len());
-                    Progress::Rows(state.rows[lo..end].to_vec())
+                    Progress::Rows(state.read_hot(from, max))
                 } else {
                     // Row `from` was moved to the disk tier.
                     state.read_spilled(from, max)
@@ -1066,6 +1182,52 @@ impl ResolvedExecs {
         self.outcomes.insert(key, outcome);
         self.stats.push(stats);
     }
+
+    /// Consumes the resolution into its per-call statistics, dropping the
+    /// spools and source answers on the way out.
+    pub(crate) fn into_source_calls(self) -> Vec<SourceCallStats> {
+        self.stats
+    }
+}
+
+/// Wrapper-call threads not yet joined, process-wide.
+///
+/// A call thread is never detached: detaching races the thread's own
+/// exit, and glibc's `pthread_detach` can then touch a stack that is
+/// already unmapped.  Instead a resolution joins the threads that have
+/// finished before it spawns each call, and leaves the rest for a later
+/// one.  Nothing waits for a running call, so a deadline-cancelled or
+/// non-cooperative wrapper never delays an answer.
+static CALL_THREADS: StdMutex<Vec<JoinHandle<()>>> = StdMutex::new(Vec::new());
+
+/// Joins every wrapper-call thread that has finished (outside the lock;
+/// joining a finished thread does not block).
+fn join_finished_calls() {
+    let mut finished = Vec::new();
+    {
+        let mut threads = lock(&CALL_THREADS);
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                finished.push(threads.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+    }
+    for handle in finished {
+        // Wrapper panics are contained inside the call (`run_wrapper_call`),
+        // so the join result carries nothing to report.
+        let _ = handle.join();
+    }
+}
+
+/// Whether the call thread `id` is still waiting to be joined.
+#[cfg(test)]
+pub(crate) fn call_thread_unjoined(id: std::thread::ThreadId) -> bool {
+    lock(&CALL_THREADS)
+        .iter()
+        .any(|handle| handle.thread().id() == id)
 }
 
 /// Collects the distinct `exec` calls of a physical plan, including those
@@ -1260,7 +1422,13 @@ pub fn resolve_execs_streamed(
         let calibration = config.calibration.clone();
         let pool = config.source_pool.clone();
         let budget = row_budget.clone();
-        std::thread::spawn(move || {
+        // Join before *each* spawn, not once per resolution: a call that
+        // finished meanwhile — often one of this resolution's own — hands
+        // its stack to the next thread through the C library's stack
+        // cache, as a detached thread would.  Joining only once leaves
+        // every spawn of a wide fan-out mapping a fresh stack.
+        join_finished_calls();
+        let handle = std::thread::spawn(move || {
             // Gate the call through the shared connection pool before the
             // wrapper sees it.  The permit is held for the whole call.
             let mut _permit = None;
@@ -1282,6 +1450,7 @@ pub fn resolve_execs_streamed(
             }
             run_wrapper_call(&source, call, calibration.as_deref(), budget.as_deref());
         });
+        lock(&CALL_THREADS).push(handle);
     }
     Ok(resolved)
 }
@@ -1307,6 +1476,9 @@ impl AnswerSink for SpoolSink<'_> {
             return false;
         }
         let mapped = map_rows_to_mediator(&rows, self.map);
+        // An identity map shares `rows`' storage: release it so the chunk
+        // moves into the spool below instead of being copied row by row.
+        drop(rows);
         if let Err(err) = check_type_conformance(&mapped, self.expected, self.extent) {
             self.conformance = Some(err);
             return false;

@@ -182,17 +182,22 @@ impl Executor {
         }
     }
 
+    /// The combine step's options under this executor's configuration.
+    fn pipeline_options(&self) -> PipelineOptions {
+        PipelineOptions {
+            threads: self.config.threads,
+            mem_budget: self.config.mem_budget,
+            adaptive: self.config.adaptive,
+            ..PipelineOptions::default()
+        }
+    }
+
     /// The pre-streaming execution path: wait for every wrapper call
     /// (bounded by the deadline), then combine.
     fn execute_blocking(&self, plan: &PhysicalExpr, catalog: &Catalog) -> Result<Answer> {
         let started = Instant::now();
         let resolved = resolve_execs(plan, &self.registry, catalog, &self.config)?;
-        let options = PipelineOptions {
-            threads: self.config.threads,
-            mem_budget: self.config.mem_budget,
-            adaptive: self.config.adaptive,
-            ..PipelineOptions::default()
-        };
+        let options = self.pipeline_options();
         if resolved.all_available() {
             // The answer bag is drawn from the streaming pipeline's final
             // sink; the metrics record what the pipeline actually
@@ -200,24 +205,10 @@ impl Executor {
             // number is the same at every thread count.
             let metrics = PipelineMetrics::new();
             let data = evaluate_physical_with(plan, &resolved, &metrics, options)?;
-            let stats = ExecutionStats {
-                exec_calls: resolved.call_count(),
-                rows_transferred: resolved.rows_transferred(),
-                rows_materialized: metrics.rows_materialized(),
-                unavailable: resolved.unavailable_repositories(),
-                elapsed: started.elapsed(),
-                source_calls: resolved.stats().to_vec(),
-                time_to_first_row: metrics.time_to_first_row_since(started),
-                source_wait: metrics.source_wait() + resolved.source_queue_wait(),
-                rows_kernel: metrics.rows_kernel(),
-                rows_fallback: metrics.rows_fallback(),
-                bytes_spilled: metrics.bytes_spilled() + resolved.spool_bytes_spilled(),
-                spill_partitions: metrics.spill_partitions(),
-                peak_tracked_bytes: metrics.peak_tracked_bytes(),
-            };
+            let stats = ExecutionStats::finish(resolved, Some(&metrics), true, started);
             Ok(Answer::complete(data, stats))
         } else {
-            self.partial_answer(plan, &resolved, options, started, None)
+            self.partial_answer(plan, resolved, options, started, None)
         }
     }
 
@@ -228,12 +219,7 @@ impl Executor {
     fn execute_streamed(&self, plan: &PhysicalExpr, catalog: &Catalog) -> Result<Answer> {
         let started = Instant::now();
         let mut resolved = resolve_execs_streamed(plan, &self.registry, catalog, &self.config)?;
-        let options = PipelineOptions {
-            threads: self.config.threads,
-            mem_budget: self.config.mem_budget,
-            adaptive: self.config.adaptive,
-            ..PipelineOptions::default()
-        };
+        let options = self.pipeline_options();
         let metrics = PipelineMetrics::new();
         match evaluate_physical_with(plan, &resolved, &metrics, options) {
             Ok(data) => {
@@ -243,35 +229,21 @@ impl Executor {
                 // matches the blocking path's exactly.
                 resolved.finalize_streamed()?;
                 if resolved.all_available() {
-                    let stats = ExecutionStats {
-                        exec_calls: resolved.call_count(),
-                        rows_transferred: resolved.rows_transferred(),
-                        rows_materialized: metrics.rows_materialized(),
-                        unavailable: Vec::new(),
-                        elapsed: started.elapsed(),
-                        source_calls: resolved.stats().to_vec(),
-                        time_to_first_row: metrics.time_to_first_row_since(started),
-                        source_wait: metrics.source_wait() + resolved.source_queue_wait(),
-                        rows_kernel: metrics.rows_kernel(),
-                        rows_fallback: metrics.rows_fallback(),
-                        bytes_spilled: metrics.bytes_spilled() + resolved.spool_bytes_spilled(),
-                        spill_partitions: metrics.spill_partitions(),
-                        peak_tracked_bytes: metrics.peak_tracked_bytes(),
-                    };
+                    let stats = ExecutionStats::finish(resolved, Some(&metrics), true, started);
                     Ok(Answer::complete(data, stats))
                 } else {
                     // An undrained source missed the deadline: produce the
                     // same partial answer the blocking path would.
-                    self.partial_answer(plan, &resolved, options, started, Some(&metrics))
+                    self.partial_answer(plan, resolved, options, started, Some(&metrics))
                 }
             }
             Err(RuntimeError::PendingUnavailable(_)) => {
                 resolved.finalize_streamed()?;
-                self.partial_answer(plan, &resolved, options, started, Some(&metrics))
+                self.partial_answer(plan, resolved, options, started, Some(&metrics))
             }
             Err(other) => {
                 // Hard error: disconnect the remaining wrapper calls so
-                // they wind down instead of running detached.
+                // they wind down instead of running on.
                 resolved.cancel_pending();
                 Err(other)
             }
@@ -286,35 +258,18 @@ impl Executor {
     fn partial_answer(
         &self,
         plan: &PhysicalExpr,
-        resolved: &ResolvedExecs,
+        resolved: ResolvedExecs,
         options: PipelineOptions,
         started: Instant,
         streamed: Option<&PipelineMetrics>,
     ) -> Result<Answer> {
-        let logical = plan.to_logical();
-        let substituted = substitute_resolved(&logical, resolved);
-        let (data, residual) = partial_evaluate_opts(&substituted, resolved, options)?;
-        let stats = ExecutionStats {
-            exec_calls: resolved.call_count(),
-            rows_transferred: resolved.rows_transferred(),
-            rows_materialized: 0,
-            unavailable: resolved.unavailable_repositories(),
-            elapsed: started.elapsed(),
-            source_calls: resolved.stats().to_vec(),
-            time_to_first_row: streamed.and_then(|m| m.time_to_first_row_since(started)),
-            source_wait: streamed
-                .map(PipelineMetrics::source_wait)
-                .unwrap_or_default()
-                + resolved.source_queue_wait(),
-            rows_kernel: streamed.map(PipelineMetrics::rows_kernel).unwrap_or(0),
-            rows_fallback: streamed.map(PipelineMetrics::rows_fallback).unwrap_or(0),
-            bytes_spilled: streamed.map(PipelineMetrics::bytes_spilled).unwrap_or(0)
-                + resolved.spool_bytes_spilled(),
-            spill_partitions: streamed.map(PipelineMetrics::spill_partitions).unwrap_or(0),
-            peak_tracked_bytes: streamed
-                .map(PipelineMetrics::peak_tracked_bytes)
-                .unwrap_or(0),
+        let (data, residual) = {
+            // Scoped: the substituted plan shares the answered sources'
+            // rows, which must be dropped before the stats are stamped.
+            let substituted = substitute_resolved(&plan.to_logical(), &resolved);
+            partial_evaluate_opts(&substituted, &resolved, options)?
         };
+        let stats = ExecutionStats::finish(resolved, streamed, false, started);
         Ok(match residual {
             Some(residual) => Answer::partial(data, residual, stats),
             None => Answer::complete(data, stats),
@@ -497,6 +452,136 @@ mod tests {
         let est = store.estimate("r0", &LogicalExpr::get("person0"));
         assert_eq!(est.source, disco_optimizer::MatchKind::Exact);
         assert!((est.rows - 1.0).abs() < f64::EPSILON);
+    }
+
+    /// A wrapper that sleeps through its whole call without ever polling
+    /// for cancellation, recording the thread it ran on.
+    struct SleepingWrapper {
+        name: String,
+        sleep: std::time::Duration,
+        thread: Arc<std::sync::Mutex<Option<std::thread::ThreadId>>>,
+    }
+
+    impl disco_wrapper::Wrapper for SleepingWrapper {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn kind(&self) -> &str {
+            "relational"
+        }
+
+        fn capabilities(&self) -> disco_algebra::CapabilitySet {
+            disco_algebra::CapabilitySet::full()
+        }
+
+        fn submit(
+            &self,
+            _expr: &LogicalExpr,
+        ) -> std::result::Result<disco_wrapper::WrapperAnswer, disco_wrapper::WrapperError>
+        {
+            *self.thread.lock().unwrap() = Some(std::thread::current().id());
+            std::thread::sleep(self.sleep);
+            Ok(disco_wrapper::WrapperAnswer {
+                rows: disco_value::Bag::new(),
+                rows_scanned: 0,
+                latency: self.sleep,
+            })
+        }
+    }
+
+    /// A call far beyond the deadline neither delays the answer (nothing
+    /// waits for the running call) nor is detached: its thread stays
+    /// listed until a later resolution joins it.
+    #[test]
+    fn overdue_calls_are_joined_later_never_awaited_or_detached() {
+        let (catalog, registry, _l0, _l1) = paper_setup();
+        let thread = Arc::new(std::sync::Mutex::new(None));
+        registry.register(Arc::new(SleepingWrapper {
+            name: "w_r0".into(),
+            sleep: std::time::Duration::from_millis(400),
+            thread: Arc::clone(&thread),
+        }));
+        let deadline = std::time::Duration::from_millis(30);
+        let executor = Executor::new(registry.clone()).with_deadline(Some(deadline));
+        let started = Instant::now();
+        let answer = executor.execute(&intro_plan(), &catalog).unwrap();
+        let waited = started.elapsed();
+        assert!(!answer.is_complete());
+        assert!(
+            waited < deadline + std::time::Duration::from_millis(50),
+            "the answer waited {waited:?} for a call past its {deadline:?} deadline"
+        );
+        let id = thread.lock().unwrap().expect("the sleeping call started");
+        assert!(
+            crate::exec::call_thread_unjoined(id),
+            "a running call keeps its join handle"
+        );
+        // Once the call has finished, a later resolution joins it.
+        std::thread::sleep(std::time::Duration::from_millis(400));
+        let fast = Executor::new(registry);
+        let joined = (0..50).any(|_| {
+            fast.execute(&intro_plan(), &catalog).unwrap();
+            let joined = !crate::exec::call_thread_unjoined(id);
+            if !joined {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            joined
+        });
+        assert!(joined, "the finished call was never joined");
+    }
+
+    /// `elapsed` is stamped after the spools and source answers are
+    /// dropped, so it covers almost all of the caller's wall time even
+    /// when the teardown of a large answer is expensive.
+    #[test]
+    fn elapsed_covers_the_teardown_of_large_streamed_answers() {
+        let mut catalog = Catalog::new();
+        catalog
+            .define_interface(
+                InterfaceDef::new("Person")
+                    .with_extent_name("person")
+                    .with_attribute(Attribute::new("id", TypeRef::Int))
+                    .with_attribute(Attribute::new("name", TypeRef::String))
+                    .with_attribute(Attribute::new("salary", TypeRef::Int)),
+            )
+            .unwrap();
+        let registry = WrapperRegistry::new();
+        let mut branches = Vec::new();
+        for i in 0..4u64 {
+            let (extent, repo, wrapper) = (format!("person{i}"), format!("r{i}"), format!("w{i}"));
+            catalog
+                .add_wrapper(WrapperDef::new(&wrapper, "relational"))
+                .unwrap();
+            catalog.add_repository(Repository::new(&repo)).unwrap();
+            catalog
+                .add_extent(MetaExtent::new(&extent, "Person", &wrapper, &repo))
+                .unwrap();
+            let store = Arc::new(disco_source::RelationalStore::new());
+            store.put_table(disco_source::generator::person_table(&extent, 25_000, i, 7));
+            let link = Arc::new(SimulatedLink::new(&repo, NetworkProfile::fast(), i));
+            registry.register(Arc::new(RelationalWrapper::new(&wrapper, store, link)));
+            branches.push(
+                LogicalExpr::get(&extent)
+                    .submit(&repo, &wrapper, &extent)
+                    .bind("x")
+                    .map_project(ScalarExpr::var_field("x", "name")),
+            );
+        }
+        let plan = lower(&LogicalExpr::Union(branches)).unwrap();
+        let executor = Executor::new(registry)
+            .with_deadline(None)
+            .with_resolution(ResolutionMode::Streamed);
+        let started = Instant::now();
+        let answer = executor.execute(&plan, &catalog).unwrap();
+        let wall = started.elapsed();
+        assert!(answer.is_complete());
+        assert_eq!(answer.stats().rows_transferred, 100_000);
+        assert!(
+            answer.stats().elapsed.as_secs_f64() >= 0.9 * wall.as_secs_f64(),
+            "elapsed {:?} misses part of the wall time {wall:?}",
+            answer.stats().elapsed
+        );
     }
 
     #[test]

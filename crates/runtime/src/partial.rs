@@ -8,12 +8,15 @@
 //! The answer is then `union(<residual query>, <data>)` — a legal OQL
 //! expression that can be resubmitted verbatim once the sources recover.
 
+use std::time::Instant;
+
 use disco_algebra::{logical_to_oql, Env, LogicalExpr, ScalarExpr};
 use disco_oql::print_expr;
 use disco_value::Bag;
 
 use crate::eval::evaluate_logical;
 use crate::exec::{ExecKey, ExecOutcome, ResolvedExecs, SourceCallStats};
+use crate::pipeline::PipelineMetrics;
 use crate::Result;
 
 /// Execution statistics attached to every answer.
@@ -81,6 +84,51 @@ pub struct ExecutionStats {
     /// under charge.  0 when the budget is unbounded (nothing is
     /// tracked).
     pub peak_tracked_bytes: usize,
+}
+
+impl ExecutionStats {
+    /// The statistics of one execution, from its resolved calls and — when
+    /// the combine step ran — its pipeline metrics.  `resolved` is
+    /// consumed, so the spools and source answers are dropped *before*
+    /// `elapsed` is stamped: teardown counts as execution time.  Partial
+    /// answers (`complete = false`) report no `rows_materialized`.
+    pub(crate) fn finish(
+        resolved: ResolvedExecs,
+        metrics: Option<&PipelineMetrics>,
+        complete: bool,
+        started: Instant,
+    ) -> ExecutionStats {
+        let count = |read: fn(&PipelineMetrics) -> usize| metrics.map_or(0, read);
+        let exec_calls = resolved.call_count();
+        let rows_transferred = resolved.rows_transferred();
+        let unavailable = resolved.unavailable_repositories();
+        let source_wait = metrics
+            .map(PipelineMetrics::source_wait)
+            .unwrap_or_default()
+            + resolved.source_queue_wait();
+        let bytes_spilled =
+            metrics.map_or(0, PipelineMetrics::bytes_spilled) + resolved.spool_bytes_spilled();
+        let source_calls = resolved.into_source_calls();
+        ExecutionStats {
+            exec_calls,
+            rows_transferred,
+            rows_materialized: if complete {
+                count(PipelineMetrics::rows_materialized)
+            } else {
+                0
+            },
+            unavailable,
+            source_calls,
+            time_to_first_row: metrics.and_then(|m| m.time_to_first_row_since(started)),
+            source_wait,
+            rows_kernel: count(PipelineMetrics::rows_kernel),
+            rows_fallback: count(PipelineMetrics::rows_fallback),
+            bytes_spilled,
+            spill_partitions: count(PipelineMetrics::spill_partitions),
+            peak_tracked_bytes: count(PipelineMetrics::peak_tracked_bytes),
+            elapsed: started.elapsed(),
+        }
+    }
 }
 
 /// The answer to a query: data plus, when sources were unavailable, the

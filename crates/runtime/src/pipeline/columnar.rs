@@ -2,13 +2,21 @@
 //!
 //! The row cursors move one `Row` at a time; this module intercepts the
 //! shapes the mediator's combine step actually spends its time on — a
-//! *spine* of `map? → filter* → bind? → scan` over a fully-materialized
-//! input — and runs them batch-at-a-time: the scan decodes one
-//! [`ChunkBuilder`] chunk per batch, compiled [`Kernel`]s evaluate the
-//! filter predicates and the map projection over whole columns, and a
-//! selection vector marks surviving rows instead of copying them.
-//! Distinct and aggregate breakers consume the fused spine's batches
-//! directly (distinct gets a dictionary-code fast path for string keys).
+//! *spine* of `map? → filter* → bind? → scan` — and runs them
+//! batch-at-a-time: the scan decodes one [`ChunkBuilder`] chunk per batch,
+//! compiled [`Kernel`]s evaluate the filter predicates and the map
+//! projection over whole columns, and a selection vector marks surviving
+//! rows instead of copying them.  Distinct and aggregate breakers consume
+//! the fused spine's batches directly (distinct gets a dictionary-code
+//! fast path for string keys).
+//!
+//! The scan's rows are a materialized answer, a parallel morsel of one,
+//! or a still-streaming wrapper answer: a spine over a pending spool
+//! pulls its shared chunks through the spool's one wait and deadline
+//! protocol (a [`SpoolReader`]) and slices them into batches, so the
+//! default streamed resolution runs the same kernels as blocking.  Output
+//! that would borrow a spool chunk is cloned instead (an `Arc` bump per
+//! value), because the chunk may leave memory once the batch is done.
 //!
 //! # Fallback rule
 //!
@@ -17,9 +25,10 @@
 //!
 //! * **Fusion** is all-or-nothing per stretch: every filter predicate
 //!   (and the map projection, when present) must compile to a kernel,
-//!   and the source must be a resolved scan.  Anything else builds row
-//!   cursors as before — with fusable *inner* stretches still
-//!   intercepted, so partial coverage composes.
+//!   and the source must be a resolved or pending scan (joins fuse only
+//!   over resolved scans).  Anything else builds row cursors as before
+//!   — with fusable *inner* stretches still intercepted, so partial
+//!   coverage composes.
 //! * **Decoding** is strict: a batch containing a non-struct row or a
 //!   row lacking a referenced field refuses to decode, and that batch
 //!   runs through the per-row [`Env`](disco_algebra::Env) path (counted
@@ -52,11 +61,15 @@ use disco_algebra::{
 };
 use disco_value::{ChunkBuilder, Column, ColumnarChunk, KeyHasher, StrDict, StructValue, Value};
 
-use crate::exec::{ExecKey, ExecOutcome};
+use crate::exec::{ChunkSlice, ExecKey, ExecOutcome, PendingSource};
 
 use super::join::{check_struct_frames, BuildSide, ColumnarJoinTable};
+use super::scan::SpoolReader;
 use super::sink::{AggState, SeenSet};
-use super::{estimated_rows, eval_in_row, BoxedRowStream, PipelineCtx, Result, Row, RowStream};
+use super::{
+    estimated_rows, eval_in_row, BoxedRowStream, PipelineCtx, PipelineMetrics, Result, Row,
+    RowStream,
+};
 
 /// Attempts to intercept `plan` with a columnar cursor; `None` means "not
 /// fusable here" and the caller builds row cursors (recursing into this
@@ -136,15 +149,35 @@ impl<'a> ColumnarSource<'a> {
             ColumnarSource::Join(join) => join.ctx,
         }
     }
+
+    /// Whether the next batch is available without blocking on a
+    /// still-streaming source.
+    fn ready(&self) -> bool {
+        match self {
+            ColumnarSource::Spine(spine) => spine.input.ready(),
+            ColumnarSource::Join(_) => true,
+        }
+    }
 }
 
-/// The fusable plan shape: `map? → filter* → bind? → (resolved scan)`.
+/// Where a fused stretch's rows come from.
+pub(crate) enum SpineLeaf<'a> {
+    /// A materialized answer, or a parallel morsel of one: batches borrow
+    /// its rows.
+    Slice(&'a [Value]),
+    /// One claimed spool run (a parallel morsel of a streaming source).
+    Chunk(ChunkSlice),
+    /// A still-streaming wrapper answer, pulled run by run.
+    Pending(&'a Arc<PendingSource>),
+}
+
+/// The fusable plan shape: `map? → filter* → bind? → scan`.
 struct SpineShape<'a> {
     map: Option<&'a ScalarExpr>,
     /// Filter predicates in execution (innermost-first) order.
     filters: Vec<&'a ScalarExpr>,
     binding: Option<&'a str>,
-    rows: &'a [Value],
+    leaf: SpineLeaf<'a>,
 }
 
 /// Peels `map? → filter* → bind?` off `plan`, leaving the source node.
@@ -186,8 +219,8 @@ fn spine_shape<'a>(
     allow_bare: bool,
 ) -> Option<SpineShape<'a>> {
     let (map, filters, binding, node) = peel_ops(plan);
-    let rows: &'a [Value] = match node {
-        PhysicalExpr::MemScan(bag) => bag.as_slice(),
+    let leaf = match node {
+        PhysicalExpr::MemScan(bag) => SpineLeaf::Slice(bag.as_slice()),
         PhysicalExpr::Exec {
             repository,
             extent,
@@ -196,9 +229,10 @@ fn spine_shape<'a>(
         } => {
             let key = ExecKey::new(repository, extent, logical);
             match ctx.resolved.outcome(&key) {
-                Some(ExecOutcome::Rows(rows)) => rows.as_slice(),
-                // Pending spools and unresolved/unavailable sources keep
-                // the row path (which reports the precise error).
+                Some(ExecOutcome::Rows(rows)) => SpineLeaf::Slice(rows.as_slice()),
+                Some(ExecOutcome::Pending(source)) => SpineLeaf::Pending(source),
+                // Unresolved/unavailable sources keep the row path (which
+                // reports the precise error).
                 _ => return None,
             }
         }
@@ -211,18 +245,18 @@ fn spine_shape<'a>(
         map,
         filters,
         binding,
-        rows,
+        leaf,
     })
 }
 
 /// [`spine_shape`] for a parallel morsel: the stretch must bottom out at
 /// the scheduler's partition node (`leaf`, matched by pointer identity,
 /// exactly like `PartPipeline::open_node` does), and the rows are the
-/// worker's claimed slice instead of the leaf's full extent.
+/// worker's claimed slice or spool run instead of the leaf's full extent.
 fn partition_shape<'a>(
     plan: &'a PhysicalExpr,
     leaf: &'a PhysicalExpr,
-    rows: &'a [Value],
+    rows: SpineLeaf<'a>,
     allow_bare: bool,
 ) -> Option<SpineShape<'a>> {
     let (map, filters, binding, node) = peel_ops(plan);
@@ -236,17 +270,18 @@ fn partition_shape<'a>(
         map,
         filters,
         binding,
-        rows,
+        leaf: rows,
     })
 }
 
 /// Columnar interception for one parallel morsel: fuses the spine stretch
 /// from `plan` down to the scheduler's partition `leaf` over the morsel's
-/// row slice.  `None` keeps the worker on the row path for this stretch.
+/// row slice or claimed spool run.  `None` keeps the worker on the row
+/// path for this stretch.
 pub(crate) fn try_build_partition<'a>(
     plan: &'a PhysicalExpr,
     leaf: &'a PhysicalExpr,
-    rows: &'a [Value],
+    rows: SpineLeaf<'a>,
     ctx: PipelineCtx<'a>,
 ) -> Option<BoxedRowStream<'a>> {
     let shape = partition_shape(plan, leaf, rows, false)?;
@@ -269,7 +304,7 @@ pub(crate) fn keyed_partition<'a>(
     state: RandomState,
     ctx: PipelineCtx<'a>,
 ) -> Option<KeyedSpine<'a>> {
-    let shape = partition_shape(plan, leaf, rows, true)?;
+    let shape = partition_shape(plan, leaf, SpineLeaf::Slice(rows), true)?;
     let draft = KeyedSpineDraft::compile(shape, key)?;
     let fields = draft.fields().to_vec();
     Some(draft.finalize(&fields, state, ctx))
@@ -298,11 +333,84 @@ fn gather_lookup<'v>(row: &'v StructValue, plan: &mut GatherPlan) -> Option<&'v 
     Some(value)
 }
 
+/// The rows a fused spine scans.
+enum SpineInput<'a> {
+    /// Borrowed rows: batches borrow them straight through.
+    Slice { rows: &'a [Value], pos: usize },
+    /// Shared spool runs: the run in hand, then — for a pending leaf —
+    /// the spool reader's next one.  Batches over them are owned.
+    Spool {
+        run: Option<ChunkSlice>,
+        reader: Option<SpoolReader>,
+    },
+}
+
+/// The input rows of one batch.
+enum InputBatch<'a> {
+    Borrowed(&'a [Value]),
+    Shared(ChunkSlice),
+}
+
+impl<'a> SpineInput<'a> {
+    fn new(leaf: SpineLeaf<'a>) -> Self {
+        match leaf {
+            SpineLeaf::Slice(rows) => SpineInput::Slice { rows, pos: 0 },
+            SpineLeaf::Chunk(run) => SpineInput::Spool {
+                run: Some(run),
+                reader: None,
+            },
+            SpineLeaf::Pending(source) => SpineInput::Spool {
+                run: None,
+                reader: Some(SpoolReader::new(Arc::clone(source))),
+            },
+        }
+    }
+
+    /// The next `take` rows (fewer at the end of a spool run); `None`
+    /// once the input is exhausted.  A pending input blocks here until
+    /// its wrapper pushes more rows, through the spool's wait protocol.
+    fn next(&mut self, take: usize, metrics: &PipelineMetrics) -> Result<Option<InputBatch<'a>>> {
+        match self {
+            SpineInput::Slice { rows, pos } => {
+                let rows: &'a [Value] = rows;
+                if *pos >= rows.len() {
+                    return Ok(None);
+                }
+                let end = (*pos + take).min(rows.len());
+                let slice = &rows[*pos..end];
+                *pos = end;
+                Ok(Some(InputBatch::Borrowed(slice)))
+            }
+            SpineInput::Spool { run, reader } => loop {
+                if let Some(run) = run.as_mut().filter(|run| !run.is_empty()) {
+                    return Ok(Some(InputBatch::Shared(run.split_front(take))));
+                }
+                *run = match reader {
+                    Some(reader) => reader.next_run(metrics)?,
+                    None => None,
+                };
+                if run.is_none() {
+                    return Ok(None);
+                }
+            },
+        }
+    }
+
+    fn ready(&self) -> bool {
+        match self {
+            SpineInput::Slice { .. } => true,
+            SpineInput::Spool { run, reader } => {
+                run.as_ref().is_some_and(|run| !run.is_empty())
+                    || reader.as_ref().is_none_or(SpoolReader::ready)
+            }
+        }
+    }
+}
+
 /// A fused spine: compiled kernels, the chunk decoder, and the original
 /// expressions for the per-batch fallback.
 pub(crate) struct FusedSpine<'a> {
-    rows: &'a [Value],
-    pos: usize,
+    input: SpineInput<'a>,
     builder: ChunkBuilder,
     filter_kernels: Vec<Kernel>,
     /// Compound map projections evaluate through this kernel; bare column
@@ -323,8 +431,26 @@ enum SpineBatch<'a> {
     Mapped(EvalVec, usize),
     /// Bare-column map results borrowed from the surviving source rows.
     Proj(Vec<&'a Value>),
+    /// Bare-column map results cloned out of a spool run.
+    Values(Vec<Value>),
     /// Surviving rows (no map stage, or the per-row fallback ran).
     Rows(Vec<Row<'a>>),
+}
+
+impl SpineBatch<'_> {
+    /// Detaches a batch from the spool run it borrows (the run may leave
+    /// memory once the batch is done): gathered values and borrowed rows
+    /// are cloned, one `Arc` bump each.
+    fn into_owned(self) -> SpineBatch<'static> {
+        match self {
+            SpineBatch::Mapped(result, n) => SpineBatch::Mapped(result, n),
+            SpineBatch::Proj(values) => SpineBatch::Values(values.into_iter().cloned().collect()),
+            SpineBatch::Values(values) => SpineBatch::Values(values),
+            SpineBatch::Rows(rows) => {
+                SpineBatch::Rows(rows.into_iter().map(Row::into_owned).collect())
+            }
+        }
+    }
 }
 
 impl<'a> FusedSpine<'a> {
@@ -370,8 +496,7 @@ impl<'a> FusedSpine<'a> {
             builder.add_field(Arc::clone(field));
         }
         Some(FusedSpine {
-            rows: shape.rows,
-            pos: 0,
+            input: SpineInput::new(shape.leaf),
             builder,
             filter_kernels,
             map_kernel,
@@ -384,27 +509,25 @@ impl<'a> FusedSpine<'a> {
         })
     }
 
-    fn done(&self) -> bool {
-        self.pos >= self.rows.len()
-    }
-
     /// Produces the next batch of at most `hint` source rows; `None` when
     /// the scan is exhausted.
     fn next_chunk(&mut self, hint: usize) -> Result<Option<SpineBatch<'a>>> {
-        if self.done() {
-            return Ok(None);
+        let take = hint.clamp(1, super::MAX_BATCH_ROWS);
+        match self.input.next(take, self.ctx.metrics)? {
+            None => Ok(None),
+            Some(InputBatch::Borrowed(slice)) => self.run_batch(slice).map(Some),
+            Some(InputBatch::Shared(run)) => Ok(Some(self.run_batch(run.rows())?.into_owned())),
         }
-        let rows = self.rows;
-        let take = hint
-            .clamp(1, super::MAX_BATCH_ROWS)
-            .min(rows.len() - self.pos);
-        let slice = &rows[self.pos..self.pos + take];
-        self.pos += take;
+    }
+
+    /// Runs one batch through the kernels, or through the per-row
+    /// fallback when they bail.
+    fn run_batch<'s>(&mut self, slice: &'s [Value]) -> Result<SpineBatch<'s>> {
         match self.kernel_chunk(slice)? {
-            Some(batch) => Ok(Some(batch)),
+            Some(batch) => Ok(batch),
             None => {
                 self.ctx.metrics.add_fallback(slice.len());
-                Ok(Some(SpineBatch::Rows(self.fallback_chunk(slice)?)))
+                Ok(SpineBatch::Rows(self.fallback_chunk(slice)?))
             }
         }
     }
@@ -412,7 +535,7 @@ impl<'a> FusedSpine<'a> {
     /// The vectorized path; `Ok(None)` bails the batch to the fallback
     /// (undecodable chunk, or a kernel hit an unsupported combination /
     /// would-be error).
-    fn kernel_chunk(&mut self, slice: &'a [Value]) -> Result<Option<SpineBatch<'a>>> {
+    fn kernel_chunk<'s>(&mut self, slice: &'s [Value]) -> Result<Option<SpineBatch<'s>>> {
         let Some(chunk) = self.builder.build(slice) else {
             return Ok(None);
         };
@@ -491,8 +614,8 @@ impl<'a> FusedSpine<'a> {
     /// The per-row path for one batch, stacked operator-by-operator
     /// across the whole batch — exactly how the row cursors' `next_batch`
     /// implementations compose, so results, errors and error order match.
-    fn fallback_chunk(&self, slice: &'a [Value]) -> Result<Vec<Row<'a>>> {
-        let mut rows: Vec<Row<'a>> = slice.iter().map(Row::borrowed).collect();
+    fn fallback_chunk<'s>(&self, slice: &'s [Value]) -> Result<Vec<Row<'s>>> {
+        let mut rows: Vec<Row<'s>> = slice.iter().map(Row::borrowed).collect();
         if let Some(name) = &self.bind_name {
             let mut bound = Vec::with_capacity(rows.len());
             for row in rows {
@@ -544,6 +667,9 @@ impl<'a> KeyedSpineDraft<'a> {
     /// with its key expression.  `None` (a map-bearing side, or any stage
     /// outside the kernel subset) keeps the whole join on the row path.
     fn compile(shape: SpineShape<'a>, key: &'a ScalarExpr) -> Option<Self> {
+        let SpineLeaf::Slice(rows) = shape.leaf else {
+            return None;
+        };
         if shape.map.is_some() {
             return None;
         }
@@ -555,7 +681,7 @@ impl<'a> KeyedSpineDraft<'a> {
         let key_kernel = kb.compile(key)?;
         let key_slot = key_kernel.as_col();
         Some(KeyedSpineDraft {
-            rows: shape.rows,
+            rows,
             filter_kernels,
             key_kernel,
             key_slot,
@@ -838,6 +964,15 @@ impl<'a> FusedJoin<'a> {
         }
         let left_shape = spine_shape(left, &ctx, true)?;
         let right_shape = spine_shape(right, &ctx, true)?;
+        // The fused join runs over materialized sides only; a pending side
+        // keeps the row engine's hash join (decided before the build-side
+        // estimate, which would wait for the spool to complete).
+        if [&left_shape, &right_shape]
+            .iter()
+            .any(|shape| !matches!(shape.leaf, SpineLeaf::Slice(_)))
+        {
+            return None;
+        }
         let build_on_left = match ctx.options.build_side {
             BuildSide::Left => true,
             BuildSide::Right => false,
@@ -1073,6 +1208,7 @@ fn enqueue<'a>(pending: &mut VecDeque<Row<'a>>, batch: SpineBatch<'a>) {
             }
         }
         SpineBatch::Proj(values) => pending.extend(values.into_iter().map(Row::borrowed)),
+        SpineBatch::Values(values) => pending.extend(values.into_iter().map(Row::owned)),
         SpineBatch::Rows(rows) => pending.extend(rows),
     }
 }
@@ -1115,6 +1251,10 @@ impl<'a> SpineCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for SpineCursor<'a> {
+    fn ready(&self) -> bool {
+        self.mapped.is_some() || !self.pending.is_empty() || self.source.ready()
+    }
+
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
         loop {
             if let Some((result, next, n)) = &mut self.mapped {
@@ -1156,6 +1296,10 @@ impl<'a> RowStream<'a> for SpineCursor<'a> {
                 }
                 Some(SpineBatch::Proj(values)) => {
                     out.extend(values.into_iter().map(Row::borrowed));
+                    return Ok(true);
+                }
+                Some(SpineBatch::Values(values)) => {
+                    out.extend(values.into_iter().map(Row::owned));
                     return Ok(true);
                 }
                 Some(SpineBatch::Rows(mut rows)) => {
@@ -1220,26 +1364,46 @@ impl<'a> ColumnarDistinctCursor<'a> {
         Some(Row::owned(value))
     }
 
+    /// The dictionary shortcut: `true` when `value` is a string whose
+    /// code was already seen (a certain duplicate).  Everything else — a
+    /// fresh code, a full dictionary, a non-string — goes through the
+    /// seen-set, which stays the one source of truth.
+    fn repeated_code(&mut self, value: &Value) -> bool {
+        let Value::Str(s) = value else {
+            return false;
+        };
+        let Some(code) = self.dict.code(s) else {
+            return false;
+        };
+        let slot = code as usize;
+        if self.code_seen.get(slot).copied().unwrap_or(false) {
+            return true;
+        }
+        if self.code_seen.len() <= slot {
+            self.code_seen.resize(slot + 1, false);
+        }
+        self.code_seen[slot] = true;
+        false
+    }
+
     fn process(&mut self, batch: SpineBatch<'a>) -> Result<()> {
         match batch {
             SpineBatch::Proj(values) => {
                 for value in values {
-                    if let Value::Str(s) = value {
-                        if let Some(code) = self.dict.code(s) {
-                            let slot = code as usize;
-                            if self.code_seen.get(slot).copied().unwrap_or(false) {
-                                continue;
-                            }
-                            if self.code_seen.len() <= slot {
-                                self.code_seen.resize(slot + 1, false);
-                            }
-                            self.code_seen[slot] = true;
-                        }
-                        // A full dictionary (or a fresh code) falls
-                        // through to the seen-set, which stays the one
-                        // source of truth.
+                    if self.repeated_code(value) {
+                        continue;
                     }
                     if let Some(row) = self.admit_borrowed(value) {
+                        self.pending.push_back(row);
+                    }
+                }
+            }
+            SpineBatch::Values(values) => {
+                for value in values {
+                    if self.repeated_code(&value) {
+                        continue;
+                    }
+                    if let Some(row) = self.admit_owned(value) {
                         self.pending.push_back(row);
                     }
                 }
@@ -1278,6 +1442,10 @@ impl<'a> ColumnarDistinctCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for ColumnarDistinctCursor<'a> {
+    fn ready(&self) -> bool {
+        !self.pending.is_empty() || self.source.ready()
+    }
+
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
         loop {
             if let Some(row) = self.pending.pop_front() {
@@ -1328,6 +1496,10 @@ impl<'a> ColumnarAggregateCursor<'a> {
 }
 
 impl<'a> RowStream<'a> for ColumnarAggregateCursor<'a> {
+    fn ready(&self) -> bool {
+        self.source.as_ref().is_none_or(ColumnarSource::ready)
+    }
+
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
         let mut source = self.source.take()?;
         let mut state = AggState::new(self.func);
@@ -1343,6 +1515,13 @@ impl<'a> RowStream<'a> for ColumnarAggregateCursor<'a> {
                 }
                 Ok(Some(SpineBatch::Proj(values))) => {
                     for value in values {
+                        if let Err(err) = state.update(value) {
+                            return Some(Err(err));
+                        }
+                    }
+                }
+                Ok(Some(SpineBatch::Values(values))) => {
+                    for value in &values {
                         if let Err(err) = state.update(value) {
                             return Some(Err(err));
                         }

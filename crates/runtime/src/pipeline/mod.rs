@@ -151,6 +151,18 @@ impl<'a> Row<'a> {
         }
     }
 
+    /// Detaches the row from plan and source storage: borrowed frames are
+    /// cloned (an `Arc` bump each), owned frames move.
+    #[must_use]
+    pub(crate) fn into_owned(self) -> Row<'static> {
+        let own = |frame: Frame<'_>| Frame::Owned(frame.into_value());
+        match self {
+            Row::One(f) => Row::One(own(f)),
+            Row::Two([l, r]) => Row::Two([own(l), own(r)]),
+            Row::Many(frames) => Row::Many(frames.into_iter().map(own).collect()),
+        }
+    }
+
     /// Consumes the row into its frames.
     fn into_frame_vec(self) -> Vec<Frame<'a>> {
         match self {

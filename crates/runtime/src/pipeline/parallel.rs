@@ -68,10 +68,10 @@ use disco_algebra::{AggKind, Env, PhysicalExpr, ScalarExpr};
 use disco_value::{Bag, Value};
 use parking_lot::Mutex;
 
-use crate::exec::{ExecKey, ExecOutcome, PendingSource, Progress, ResolvedExecs};
+use crate::exec::{ChunkSlice, ExecKey, ExecOutcome, PendingSource, ResolvedExecs};
 use crate::{Result, RuntimeError};
 
-use super::columnar::{self, KeyedBatch};
+use super::columnar::{self, KeyedBatch, SpineLeaf};
 use super::exchange::{
     empty_shards, morsel_ranges, morsel_size, shard_count, shard_of, JoinTable, KeyedRow,
     MorselQueue, RateTracker, Scattered, SharedProbeCursor, MORSEL_ROWS,
@@ -206,10 +206,10 @@ enum Task {
     },
     /// One union branch.
     Branch { id: usize, index: usize },
-    /// One chunk of rows claimed from a growing (pending) source; `id` is
-    /// the claim sequence number, which equals the chunk's position in
-    /// the spool's arrival order.
-    Chunk { id: usize, rows: Arc<Vec<Value>> },
+    /// One run of rows claimed from a growing (pending) source — a shared
+    /// spool chunk range, not a copy; `id` is the claim sequence number,
+    /// which equals the run's position in the spool's arrival order.
+    Chunk { id: usize, rows: ChunkSlice },
 }
 
 impl Task {
@@ -384,24 +384,13 @@ impl<'q> TaskQueue<'q> {
                 if !blocked.is_zero() {
                     wait_metrics.add_source_wait(blocked);
                 }
-                match progress {
-                    Progress::Rows(rows) => {
-                        claim.offset += rows.len();
-                        let id = claim.seq;
-                        claim.seq += 1;
-                        Ok(Some(Task::Chunk {
-                            id,
-                            rows: Arc::new(rows),
-                        }))
-                    }
-                    Progress::Done => Ok(None),
-                    Progress::Unavailable => Err(RuntimeError::PendingUnavailable(
-                        source.repository().to_owned(),
-                    )),
-                    Progress::Failed(err) => Err(RuntimeError::Wrapper(err)),
-                    Progress::Panicked(msg) => Err(RuntimeError::WorkerPanic(msg)),
-                    Progress::SpillError(msg) => Err(RuntimeError::Spill(msg)),
-                }
+                let Some(rows) = progress.into_rows(source.repository())? else {
+                    return Ok(None);
+                };
+                claim.offset += rows.len();
+                let id = claim.seq;
+                claim.seq += 1;
+                Ok(Some(Task::Chunk { id, rows }))
             }
         }
     }
@@ -931,16 +920,23 @@ impl<'p, 'a> PartPipeline<'p, 'a> {
     ) -> Result<BoxedRowStream<'a>> {
         // Columnar morsel spine: when the stretch from here down to the
         // partition leaf is a fusible map/filter/bind chain, run the
-        // columnar spine over this task's slice instead of stacking row
-        // cursors.  Bails (returns None) for staged joins, off-spine
-        // nodes, and bare slices, which fall through to the row path.
+        // columnar spine over this task's slice or claimed spool run
+        // instead of stacking row cursors.  Bails (returns None) for
+        // staged joins, off-spine nodes, and bare slices, which fall
+        // through to the row path.
         if ctx.options.columnar_enabled() {
-            if let (Some(PartSource::Slice { node: leaf, rows }), Task::Range { range, .. }) =
-                (self.source, task)
-            {
-                if let Some(cursor) =
-                    columnar::try_build_partition(node, leaf, &rows[range.clone()], ctx)
-                {
+            let morsel = match (self.source, task) {
+                (Some(PartSource::Slice { node: leaf, rows }), Task::Range { range, .. }) => {
+                    let rows: &'a [Value] = rows;
+                    Some((*leaf, SpineLeaf::Slice(&rows[range.clone()])))
+                }
+                (Some(PartSource::Stream { node: leaf, .. }), Task::Chunk { rows, .. }) => {
+                    Some((*leaf, SpineLeaf::Chunk(rows.clone())))
+                }
+                _ => None,
+            };
+            if let Some((leaf, rows)) = morsel {
+                if let Some(cursor) = columnar::try_build_partition(node, leaf, rows, ctx) {
                     return Ok(cursor);
                 }
             }
@@ -963,9 +959,7 @@ impl<'p, 'a> PartPipeline<'p, 'a> {
             (Some(PartSource::Stream { node: n, .. }), Task::Chunk { rows, .. })
                 if std::ptr::eq::<PhysicalExpr>(*n, node) =>
             {
-                return Ok(Box::new(super::scan::ChunkScanCursor::new(Arc::clone(
-                    rows,
-                ))));
+                return Ok(Box::new(super::scan::ChunkScanCursor::new(rows.clone())));
             }
             _ => {}
         }

@@ -1,15 +1,13 @@
 //! Leaf cursors: scans over in-memory bags and over still-streaming
 //! pending sources.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use disco_value::{Bag, Value};
+use disco_value::Bag;
 
-use crate::exec::{PendingSource, Progress};
-use crate::RuntimeError;
+use crate::exec::{ChunkSlice, PendingSource};
 
-use super::{PipelineMetrics, Result, Row, RowStream, BATCH_ROWS};
+use super::{PipelineMetrics, Result, Row, RowStream};
 
 /// Streams the elements of a bag **by reference**: the bag lives in the
 /// plan (`memscan` literal data) or in the resolved `exec` outcomes, both
@@ -49,78 +47,98 @@ impl<'a> RowStream<'a> for ScanCursor<'a> {
     }
 }
 
-/// Streams a still-resolving `exec` call: rows are pulled out of the
-/// [`PendingSource`] spool as the wrapper thread pushes chunks, so the
-/// pipeline above combines data while slower sources are still answering.
-/// The cursor blocks only when *its own* source is behind; the blocked
-/// time is charged to [`PipelineMetrics::source_wait`].
+/// One consumer's read position in a [`PendingSource`] spool — the wait
+/// protocol, source-wait metering and error mapping shared by every
+/// consumer of a pending leaf (the row scan below, the columnar spine).
 ///
-/// Rows are cloned out of the spool (`Arc` bumps), so the cursor owns its
-/// rows and several scans of the same deduplicated call can read one
-/// spool independently, each with its own index.
-///
-/// At the execution deadline a blocked wait flips the spool to
-/// unavailable; the cursor then surfaces
-/// [`RuntimeError::PendingUnavailable`], which the executor catches to
+/// Each read hands out one shared chunk run ([`ChunkSlice`]); several
+/// readers of the same deduplicated call read one spool independently,
+/// each with its own index.  At the execution deadline a blocked wait
+/// flips the spool to unavailable and the read surfaces
+/// [`RuntimeError::PendingUnavailable`](crate::RuntimeError::PendingUnavailable),
+/// which the executor catches to
 /// fall back to partial evaluation.
-pub(crate) struct PendingScanCursor<'a> {
+pub(crate) struct SpoolReader {
     source: Arc<PendingSource>,
-    metrics: &'a PipelineMetrics,
-    /// Read index into the spool (rows consumed into `buf`).
+    /// Read index into the spool (rows already handed out).
     index: usize,
-    /// Rows fetched but not yet handed out (feeds `next_row`).
-    buf: VecDeque<Value>,
     exhausted: bool,
+}
+
+impl SpoolReader {
+    pub(crate) fn new(source: Arc<PendingSource>) -> Self {
+        SpoolReader {
+            source,
+            index: 0,
+            exhausted: false,
+        }
+    }
+
+    /// Waits for the next run of arrived rows (the rest of one pushed
+    /// chunk); `None` once the stream completed.  Blocked time is charged
+    /// to [`PipelineMetrics::source_wait`].
+    pub(crate) fn next_run(&mut self, metrics: &PipelineMetrics) -> Result<Option<ChunkSlice>> {
+        if self.exhausted {
+            return Ok(None);
+        }
+        let (progress, blocked) = self.source.wait_rows(self.index, usize::MAX);
+        if !blocked.is_zero() {
+            metrics.add_source_wait(blocked);
+        }
+        let run = progress.into_rows(self.source.repository())?;
+        match &run {
+            Some(rows) => self.index += rows.len(),
+            None => self.exhausted = true,
+        }
+        Ok(run)
+    }
+
+    /// Whether [`SpoolReader::next_run`] would return without blocking.
+    pub(crate) fn ready(&self) -> bool {
+        self.exhausted || self.source.ready(self.index)
+    }
+}
+
+/// Streams a still-resolving `exec` call row by row: runs are pulled out
+/// of the [`PendingSource`] spool as the wrapper thread pushes chunks, so
+/// the pipeline above combines data while slower sources are still
+/// answering.  The cursor blocks only when *its own* source is behind.
+///
+/// Rows leave the shared chunk as owned values (one `Arc` bump each), so
+/// the cursor owns its rows.  This is the row path for pending leaves the
+/// columnar engine does not fuse (bare scans, `DISCO_COLUMNAR=0`).
+pub(crate) struct PendingScanCursor<'a> {
+    reader: SpoolReader,
+    metrics: &'a PipelineMetrics,
+    /// The run fetched but not yet handed out.
+    run: Option<ChunkSlice>,
 }
 
 impl<'a> PendingScanCursor<'a> {
     pub(crate) fn new(source: Arc<PendingSource>, metrics: &'a PipelineMetrics) -> Self {
         PendingScanCursor {
-            source,
+            reader: SpoolReader::new(source),
             metrics,
-            index: 0,
-            buf: VecDeque::new(),
-            exhausted: false,
+            run: None,
         }
     }
 
-    /// Waits for up to `max` more rows; `None` when the stream completed.
-    fn fetch(&mut self, max: usize) -> Result<Option<Vec<Value>>> {
-        if self.exhausted {
-            return Ok(None);
+    /// The current run with rows left, fetching the next one when needed;
+    /// `None` when the stream completed.
+    fn current(&mut self) -> Result<Option<&mut ChunkSlice>> {
+        if self.run.as_ref().is_none_or(ChunkSlice::is_empty) {
+            self.run = self.reader.next_run(self.metrics)?;
         }
-        let (progress, blocked) = self.source.wait_rows(self.index, max);
-        if !blocked.is_zero() {
-            self.metrics.add_source_wait(blocked);
-        }
-        match progress {
-            Progress::Rows(rows) => {
-                self.index += rows.len();
-                Ok(Some(rows))
-            }
-            Progress::Done => {
-                self.exhausted = true;
-                Ok(None)
-            }
-            Progress::Unavailable => Err(RuntimeError::PendingUnavailable(
-                self.source.repository().to_owned(),
-            )),
-            Progress::Failed(err) => Err(RuntimeError::Wrapper(err)),
-            Progress::Panicked(msg) => Err(RuntimeError::WorkerPanic(msg)),
-            Progress::SpillError(msg) => Err(RuntimeError::Spill(msg)),
-        }
+        Ok(self.run.as_mut())
     }
 }
 
 impl<'a> RowStream<'a> for PendingScanCursor<'a> {
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        if let Some(value) = self.buf.pop_front() {
-            return Some(Ok(Row::owned(value)));
-        }
-        match self.fetch(BATCH_ROWS) {
-            Ok(Some(rows)) => {
-                self.buf.extend(rows);
-                self.buf.pop_front().map(|value| Ok(Row::owned(value)))
+        match self.current() {
+            Ok(Some(run)) => {
+                let row = run.split_front(1).rows()[0].clone();
+                Some(Ok(Row::owned(row)))
             }
             Ok(None) => None,
             Err(err) => Some(Err(err)),
@@ -128,14 +146,10 @@ impl<'a> RowStream<'a> for PendingScanCursor<'a> {
     }
 
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        if !self.buf.is_empty() {
-            let take = self.buf.len().min(max);
-            out.extend(self.buf.drain(..take).map(Row::owned));
-            return Ok(true);
-        }
-        match self.fetch(max)? {
-            Some(rows) => {
-                out.extend(rows.into_iter().map(Row::owned));
+        match self.current()? {
+            Some(run) => {
+                let batch = run.split_front(max);
+                out.extend(batch.rows().iter().cloned().map(Row::owned));
                 Ok(true)
             }
             None => Ok(false),
@@ -143,35 +157,34 @@ impl<'a> RowStream<'a> for PendingScanCursor<'a> {
     }
 
     fn ready(&self) -> bool {
-        !self.buf.is_empty() || self.exhausted || self.source.ready(self.index)
+        self.run.as_ref().is_some_and(|run| !run.is_empty()) || self.reader.ready()
     }
 }
 
-/// A scan over an owned chunk of rows — the parallel engine's morsel unit
-/// for *growing* (pending) sources: workers claim chunks as they land in
+/// A scan over one shared chunk run — the parallel engine's morsel unit
+/// for *growing* (pending) sources: workers claim runs as they land in
 /// the spool and run their cursor tree over each.
 pub(crate) struct ChunkScanCursor {
-    rows: Arc<Vec<Value>>,
-    index: usize,
+    rows: ChunkSlice,
 }
 
 impl ChunkScanCursor {
-    pub(crate) fn new(rows: Arc<Vec<Value>>) -> Self {
-        ChunkScanCursor { rows, index: 0 }
+    pub(crate) fn new(rows: ChunkSlice) -> Self {
+        ChunkScanCursor { rows }
     }
 }
 
 impl<'a> RowStream<'a> for ChunkScanCursor {
     fn next_row(&mut self) -> Option<Result<Row<'a>>> {
-        let value = self.rows.get(self.index)?.clone();
-        self.index += 1;
-        Some(Ok(Row::owned(value)))
+        if self.rows.is_empty() {
+            return None;
+        }
+        Some(Ok(Row::owned(self.rows.split_front(1).rows()[0].clone())))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Row<'a>>, max: usize) -> Result<bool> {
-        let end = (self.index + max).min(self.rows.len());
-        out.extend(self.rows[self.index..end].iter().cloned().map(Row::owned));
-        self.index = end;
-        Ok(self.index < self.rows.len())
+        let batch = self.rows.split_front(max);
+        out.extend(batch.rows().iter().cloned().map(Row::owned));
+        Ok(!self.rows.is_empty())
     }
 }

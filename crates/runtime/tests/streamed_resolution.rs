@@ -20,7 +20,7 @@ use disco_algebra::{lower, AggKind, LogicalExpr, ScalarExpr, ScalarOp};
 use disco_catalog::{
     Attribute, Catalog, InterfaceDef, MetaExtent, Repository, TypeRef, WrapperDef,
 };
-use disco_runtime::{AdaptiveMode, Answer, Executor, ResolutionMode, RuntimeError};
+use disco_runtime::{AdaptiveMode, Answer, Executor, MemBudget, ResolutionMode, RuntimeError};
 use disco_source::{generator, Availability, NetworkProfile, RelationalStore, SimulatedLink};
 use disco_value::Value;
 use disco_wrapper::{RelationalWrapper, Wrapper, WrapperAnswer, WrapperError, WrapperRegistry};
@@ -640,6 +640,137 @@ fn parallel_worker_failure_interrupts_a_blocked_stream_claim() {
         "abort must interrupt the blocked stream claim, took {:?}",
         started.elapsed()
     );
+}
+
+// ---------------------------------------------------------------------
+// Pending-leaf columnar spines: under streamed resolution the columnar
+// engine consumes the spools chunk by chunk (serial spines, the
+// parallel engine's chunk morsels, the columnar distinct and aggregate).
+// Every shape must agree with blocking resolution and the reference
+// evaluator, serially and on 4 workers, unbounded and under a 64 KiB
+// budget (whose spools spill to disk and are read back in runs).
+// ---------------------------------------------------------------------
+
+/// The query shapes of the pending-leaf cases, with whether the streamed
+/// spines cover every transferred row (a select, a mediator-side filter,
+/// a distinct and a count do; the hash join's sides are bare scans).
+fn pending_leaf_plans(n: usize) -> Vec<(&'static str, LogicalExpr, bool)> {
+    let bare = |i: usize, var: &str| {
+        LogicalExpr::get(format!("person{i}"))
+            .submit(format!("r{i}"), format!("w{i}"), format!("person{i}"))
+            .bind(var)
+    };
+    vec![
+        (
+            "select",
+            LogicalExpr::Union(
+                (0..n)
+                    .map(|i| bare(i, "x").map_project(ScalarExpr::var_field("x", "name")))
+                    .collect(),
+            ),
+            true,
+        ),
+        (
+            "mediator-side filter",
+            LogicalExpr::Union((0..n).map(|i| branch(i, 150)).collect()),
+            true,
+        ),
+        (
+            "distinct",
+            LogicalExpr::Distinct(Box::new(branch(0, 100))),
+            true,
+        ),
+        (
+            "distinct over a union",
+            LogicalExpr::Distinct(Box::new(LogicalExpr::Union(
+                (0..n).map(|i| branch(i, 100)).collect(),
+            ))),
+            true,
+        ),
+        (
+            "count",
+            LogicalExpr::Aggregate {
+                func: AggKind::Count,
+                input: Box::new(branch(1, 100)),
+            },
+            true,
+        ),
+        (
+            "equi-join",
+            LogicalExpr::Join {
+                left: Box::new(bare(0, "x")),
+                right: Box::new(bare(1, "y")),
+                predicate: Some(ScalarExpr::binary(
+                    ScalarOp::Eq,
+                    ScalarExpr::var_field("x", "salary"),
+                    ScalarExpr::var_field("y", "salary"),
+                )),
+            }
+            .map_project(ScalarExpr::var_field("y", "name")),
+            false,
+        ),
+    ]
+}
+
+#[test]
+fn pending_leaf_spines_match_blocking_and_the_reference() {
+    let columnar = disco_runtime::PipelineOptions::default().columnar_enabled();
+    let adaptive = disco_runtime::PipelineOptions::default().adaptive_enabled();
+    for chunk_rows in [0usize, 37] {
+        let federation = federation_with(&vec![instant_profile(chunk_rows); 3], 400, 23);
+        for (label, plan, fusable) in pending_leaf_plans(3) {
+            let physical = lower(&plan).unwrap();
+            let resolved = disco_runtime::resolve_execs(
+                &physical,
+                &federation.registry,
+                &federation.catalog,
+                &disco_runtime::ExecutionConfig::default(),
+            )
+            .unwrap();
+            let expected =
+                disco_runtime::reference::evaluate_physical(&physical, &resolved).unwrap();
+            for threads in [1usize, 4] {
+                for budget in [MemBudget::Unbounded, MemBudget::Bytes(64 * 1024)] {
+                    let case =
+                        format!("{label}, chunks {chunk_rows}, threads {threads}, {budget:?}");
+                    let run = |mode| {
+                        Executor::new(federation.registry.clone())
+                            .with_resolution(mode)
+                            .with_threads(threads)
+                            .with_mem_budget(budget)
+                            .with_deadline(Some(Duration::from_secs(5)))
+                            .execute(&physical, &federation.catalog)
+                            .unwrap_or_else(|e| panic!("{case}: {e}"))
+                    };
+                    let streamed = run(ResolutionMode::Streamed);
+                    let blocking = run(ResolutionMode::Blocking);
+                    assert!(streamed.is_complete(), "{case}");
+                    assert_eq!(streamed.data(), &expected, "{case}: streamed vs reference");
+                    assert_eq!(blocking.data(), &expected, "{case}: blocking vs reference");
+                    if !adaptive {
+                        assert_eq!(
+                            streamed.stats().rows_materialized,
+                            blocking.stats().rows_materialized,
+                            "{case}: rows_materialized"
+                        );
+                    }
+                    if budget != MemBudget::Unbounded {
+                        assert!(
+                            streamed.stats().bytes_spilled > 0,
+                            "{case}: the spools spill and are read back from disk"
+                        );
+                    }
+                    if fusable && columnar {
+                        assert_eq!(
+                            streamed.stats().rows_kernel,
+                            streamed.stats().rows_transferred,
+                            "{case}: every streamed row runs through the kernels"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
